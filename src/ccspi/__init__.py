@@ -38,9 +38,6 @@ from .pi import (
     ground_bisim,
     late_bisim,
     late_transitions,
-    pi_canonicalize,
-    pi_nu,
-    pi_par,
     pi_size,
     pi_substitute,
 )
@@ -75,11 +72,8 @@ from .terms import (
     Sum,
     Term,
     Var,
-    canonicalize,
     contribution,
-    csum,
     instantiate,
-    par,
     size,
     substitute,
     weight,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when the queried property holds (equivalent, witness found,
-suite passed), 1 when it does not, 2 on usage or parse errors.  The bisim
+suite passed), 1 when it does not, 2 on usage, parse or input errors
+(input nested too deeply for the recursive walks included).  The bisim
 --method both route runs the normal-form decision and the oracle side by
 side and treats any divergence as a hard error.
 """
@@ -270,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ccspi",
         description="Process-calculus equivalence toolkit: normal forms, "
         "bisimilarity checkers, mirrored-dependency searches, and property suites.",
-        epilog="The enumerate command honours the CCSPI_WORKERS environment "
-        "variable for sharding independent checks across threads.",
     )
     parser.add_argument("--version", action="version", version=f"ccspi {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -361,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 2
 
 

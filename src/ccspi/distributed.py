@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .lts import Action, Tau, TAU, bisimilar_oracle, refine_partition
-from .terms import NIL, Act, Nil, Par, Sum, Term, Var, canonicalize, par, sort_key
+from .terms import NIL, Act, Nil, Par, Sum, Term, Var
 
 Residual = tuple[Term, Term]  # (local, concurrent)
 
@@ -41,7 +41,7 @@ def d_transitions(t: Term) -> frozenset[tuple[Action, Residual]]:
             for i, ts in enumerate(part_ts):
                 rest = ps[:i] + ps[i + 1 :]
                 for a, (loc, con) in ts:
-                    out.add((a, (loc, par(rest + (con,)))))
+                    out.add((a, (loc, Par(rest + (con,)))))
             for i in range(len(ps)):
                 for j in range(i + 1, len(ps)):
                     rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
@@ -51,7 +51,7 @@ def d_transitions(t: Term) -> frozenset[tuple[Action, Residual]]:
                         comp = a1.complement()
                         for a2, (l2, c2) in part_ts[j]:
                             if a2 == comp:
-                                out.add((TAU, (par((l1, l2)), par(rest + (c1, c2)))))
+                                out.add((TAU, (Par((l1, l2)), Par(rest + (c1, c2)))))
             return frozenset(out)
     raise TypeError(f"not a term: {t!r}")
 
@@ -84,7 +84,6 @@ def dsim_blocks(states: Iterable[Term]) -> dict:
 
 
 def dsim(p: Term, q: Term) -> bool:
-    p, q = canonicalize(p), canonicalize(q)
     block = dsim_blocks(d_reachable([p, q]))
     return block[p] == block[q]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .lts import transitions
 from .rewrite import decide_bisim
-from .terms import NIL, Act, Prefix, Term, par
+from .terms import NIL, Act, Par, Prefix, Term
 from .pi import (
     BoundOutAct,
     FreeName,
@@ -32,7 +32,6 @@ from .pi import (
     ground_bisim,
     late_transitions,
     open_binder,
-    pi_canonicalize,
 )
 
 
@@ -62,7 +61,7 @@ def erase(p: PiTerm, ctx: ErasureContext) -> Term:
                 return Act(Prefix(ctx.output_name, co=True), erase(b, ctx))
             return NIL
         case PiPar(parts=ps):
-            return par(erase(q, ctx) for q in ps)
+            return Par(erase(q, ctx) for q in ps)
         case PiNu(body=b):
             return erase(b, ctx)
     raise TypeError(f"not a pi term: {p!r}")
@@ -78,7 +77,6 @@ def check_erasure_transitions(p: PiTerm, ctx: ErasureContext) -> bool:
       pi transition;
     - the erasure never steps by tau (it only has prefixes a and 'b).
     """
-    p = pi_canonicalize(p)
     ec = erase(p, ctx)
     ccs_ts = transitions(ec)
     a_pref = Prefix(ctx.input_name)
@@ -119,7 +117,6 @@ def transfer_check(p: PiTerm, q: PiTerm, ctx: ErasureContext) -> bool:
     """Given ground-bisimilar p and q, decide bisimilarity of the erasures
     (which must hold; the suite asserts the result).  Raises if the premise
     fails."""
-    p, q = pi_canonicalize(p), pi_canonicalize(q)
     if not ground_bisim(p, q):
         raise ValueError("transfer premise violated")
     return decide_bisim(erase(p, ctx), erase(q, ctx))

@@ -12,7 +12,7 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from .terms import NIL, Act, Prefix, Sum, Term, Var, csum, par, size, sort_key
+from .terms import NIL, Act, Par, Prefix, Sum, Term, Var, size, sort_key
 from .pi import (
     PI_NIL,
     BoundName,
@@ -24,8 +24,6 @@ from .pi import (
     PiPar,
     PiTerm,
     dangling,
-    pi_nu,
-    pi_par,
     pi_size,
     pi_sort_key,
 )
@@ -76,7 +74,7 @@ def ccs_terms_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
             continue
         pools = [ccs_prefixed_of_size(k, alphabet) for k in parts]
         for combo in product(*pools):
-            found.add(par(combo))
+            found.add(Par(combo))
     return tuple(sorted(found, key=sort_key))
 
 
@@ -101,7 +99,7 @@ def ccs_plus_guarded_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term
             continue
         pools = [ccs_plus_guarded_prefixed(k, alphabet) for k in parts]
         for combo in product(*pools):
-            t = csum(combo)
+            t = Sum(combo)
             if isinstance(t, Sum) and size(t) == n:
                 found.add(t)
     return tuple(sorted(found, key=sort_key))
@@ -130,7 +128,7 @@ def ccs_plus_terms_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, 
             continue
         pools = [ccs_plus_guarded_of_size(k, alphabet) for k in parts]
         for combo in product(*pools):
-            found.add(par(combo))
+            found.add(Par(combo))
     return tuple(sorted(found, key=sort_key))
 
 
@@ -187,7 +185,7 @@ def _pi_cells(prefix_count: int, nu_count: int, frees: tuple[str, ...], depth: i
     for budgets in splits:
         pools = [_pi_cells(dp, dv, frees, depth)[1] for dp, dv in budgets]
         for combo in product(*pools):
-            t = PiPar(tuple(sorted(combo, key=pi_sort_key)))
+            t = PiPar(combo)
             if pi_size(t) == prefix_count:
                 terms.add(t)
     return tuple(sorted(terms, key=pi_sort_key)), tuple(sorted(comps, key=pi_sort_key))
@@ -232,7 +230,7 @@ def random_ccs_open(rng: random.Random, max_size: int, var_names: tuple[str, ...
                 return Act(rng.choice(alphabet), go(budget - 1))
             case _:
                 k = rng.randint(1, budget - 1)
-                return par((go(k), go(budget - k)))
+                return Par((go(k), go(budget - k)))
 
     return go(max_size)
 
@@ -262,12 +260,12 @@ def random_pi(rng: random.Random, max_prefixes: int, max_nus: int,
                     rng.choice(channels), rng.choice(channels), go(p_budget - 1, v_budget, depth)
                 )
             case "nu":
-                # pi_nu drops an unused binder and fixes up the indices
-                return pi_nu(go(p_budget, v_budget - 1, depth + 1))
+                # PiNu drops an unused binder and fixes up the indices
+                return PiNu(go(p_budget, v_budget - 1, depth + 1))
             case _:
                 k = rng.randint(1, p_budget - 1)
                 v = rng.randint(0, v_budget)
-                return pi_par((go(k, v, depth), go(p_budget - k, v_budget - v, depth)))
+                return PiPar((go(k, v, depth), go(p_budget - k, v_budget - v, depth)))
 
     return go(max_prefixes, max_nus, 0)
 

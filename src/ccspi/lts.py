@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable
 
-from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, canonicalize, par, sort_key
+from .terms import Act, Nil, Par, Prefix, Sum, Term, Var, sort_key
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def transitions(t: Term) -> frozenset[tuple[Action, Term]]:
             for i, ts in enumerate(part_ts):
                 rest = ps[:i] + ps[i + 1 :]
                 for a, tgt in ts:
-                    out.add((a, par(rest + (tgt,))))
+                    out.add((a, Par(rest + (tgt,))))
             for i in range(len(ps)):
                 for j in range(i + 1, len(ps)):
                     rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
@@ -64,7 +64,7 @@ def transitions(t: Term) -> frozenset[tuple[Action, Term]]:
                         comp = a1.complement()
                         for a2, t2 in part_ts[j]:
                             if a2 == comp:
-                                out.add((TAU, par(rest + (t1, t2))))
+                                out.add((TAU, Par(rest + (t1, t2))))
             return frozenset(out)
     raise TypeError(f"not a term: {t!r}")
 
@@ -91,10 +91,9 @@ def reachable_states(roots: Iterable[Term]) -> set[Term]:
 
 
 def reachable_lts(t: Term) -> Lts:
-    root = canonicalize(t)
-    states = reachable_states([root])
+    states = reachable_states([t])
     edges = frozenset((s, a, tgt) for s in states for a, tgt in transitions(s))
-    return Lts(root, frozenset(states), edges)
+    return Lts(t, frozenset(states), edges)
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +139,6 @@ def bisimulation_blocks(roots: Iterable[Term]) -> dict:
 def bisimilar_oracle(p: Term, q: Term) -> bool:
     """Strong bisimilarity by partition refinement over the joint reachable
     state space.  Independent of the normal-form route."""
-    p, q = canonicalize(p), canonicalize(q)
     block = bisimulation_blocks([p, q])
     return block[p] == block[q]
 
@@ -148,7 +146,6 @@ def bisimilar_oracle(p: Term, q: Term) -> bool:
 def distinguishing_depth(p: Term, q: Term) -> int | None:
     """Least number of bisimulation-game rounds distinguishing p and q,
     or None if they are bisimilar."""
-    p, q = canonicalize(p), canonicalize(q)
     if p == q:
         return None
     states = sorted(reachable_states([p, q]), key=sort_key)

@@ -18,7 +18,7 @@ from .distributed import strong_bisim_plus
 from .generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
 from .lts import Tau, transitions
 from .rewrite import decide_bisim
-from .terms import NIL, Act, Par, Prefix, Sum, Term, canonicalize, par, sort_key, substitute
+from .terms import NIL, Act, Par, Prefix, Sum, Term, sort_key, substitute
 
 Equivalence = Callable[[Term, Term], bool]
 
@@ -56,8 +56,8 @@ def check_md(w: MdWitness, *, equivalence: Equivalence | None = None) -> bool:
     if (w.eta2, w.t1) not in transitions(w.t):
         raise ValueError("not a candidate MD")
     equiv = equivalence or _default_equiv(w.calculus)
-    left = par((Act(w.eta2, w.s), w.t1, w.r))
-    right = par((w.s1, Act(w.eta1, w.t), w.r))
+    left = Par((Act(w.eta2, w.s), w.t1, w.r))
+    right = Par((w.s1, Act(w.eta1, w.t), w.r))
     return equiv(left, right)
 
 
@@ -84,8 +84,8 @@ def search_md_parallel_shape(
             if eta1 == eta2:
                 continue
             w = MdWitness(eta1, eta2, s, s1, t, t1, NIL)
-            left = par((Act(eta2, s), t1))
-            right = par((s1, Act(eta1, t)))
+            left = Par((Act(eta2, s), t1))
+            right = Par((s1, Act(eta1, t)))
             if equiv(left, right):
                 return w
     return None
@@ -96,8 +96,8 @@ def md_contribution_bounds(w: MdWitness) -> tuple[int, int]:
     r = 0; no MD exists because the left value stays below the right one."""
     from .terms import contribution, size
 
-    left = par((Act(w.eta2, w.s), w.t1))
-    right = par((w.s1, Act(w.eta1, w.t)))
+    left = Par((Act(w.eta2, w.s), w.t1))
+    right = Par((w.s1, Act(w.eta1, w.t)))
     return contribution(left, w.eta1), contribution(right, w.eta1)
 
 
@@ -178,11 +178,9 @@ def _strip(lt) -> Term:
         case ("act", _, p, cont):
             return Act(p, _strip(cont))
         case ("par", children):
-            return par(_strip(c) for c in children)
+            return Par(_strip(c) for c in children)
         case ("sum", children):
-            from .terms import csum
-
-            return csum(_strip(c) for c in children)
+            return Sum(_strip(c) for c in children)
         case _:
             return NIL
 
@@ -197,7 +195,6 @@ def diagram_md_at(
     q -eta1-> . -eta2-> and q -eta2-> . -eta1->, each second prefix occurring
     syntactically under the first fired prefix, with equivalent end states."""
     equiv = equivalence or _default_equiv(calculus)
-    q = canonicalize(q)
     lt = _label_term(q, [0])
     under: dict[int, frozenset[int]] = {}
     _under_map(lt, under)
@@ -205,7 +202,7 @@ def diagram_md_at(
     for p1, id1, lt1 in _ltransitions(lt):
         for p2, id2, lt2 in _ltransitions(lt1):
             if id2 in under[id1]:
-                seqs.append((p1, p2, canonicalize(_strip(lt2))))
+                seqs.append((p1, p2, _strip(lt2)))
     for eta1, eta2, end1 in seqs:
         if eta1 == eta2:
             continue
@@ -252,7 +249,6 @@ def check_substitution_closure(
         equiv = dsim
     else:
         raise ValueError(f"unknown equivalence: {equivalence}")
-    p, q = canonicalize(p), canonicalize(q)
     if not equiv(p, q):
         return True
     return equiv(substitute(p, sigma), substitute(q, sigma))

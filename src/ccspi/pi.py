@@ -3,9 +3,11 @@ transition semantics, and ground / late / early strong bisimilarity.
 
 Binders are represented positionally (de Bruijn indices), so alpha-equivalent
 terms are literally equal and substitution is capture-avoiding by
-construction.  Free names stay as names.  Terms are kept canonical: parallel
-composition is a flattened sorted multiset without Nil components, and a
-restriction whose name never occurs is dropped.
+construction.  Free names stay as names.  Terms share the interned node core
+of `terms` with their own intern table, which likewise lives as long as the
+process: structurally equal terms are one object.  The constructors keep
+terms canonical: parallel composition is a flattened sorted multiset without
+Nil components, and a restriction whose name never occurs is dropped.
 
 Transition residuals for input and bound-output actions are returned as
 bodies with the transmitted name still abstracted (dangling index 0); the
@@ -16,10 +18,12 @@ from source-level names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Mapping
+
+from .terms import Node
 
 
 @dataclass(frozen=True, order=True)
@@ -35,121 +39,108 @@ class BoundName:
 NameRef = FreeName | BoundName
 
 
-class PiTerm:
+def _ref_dangling(r: NameRef) -> frozenset[int]:
+    return frozenset((r.index,)) if isinstance(r, BoundName) else frozenset()
+
+
+def _unbind(indices: frozenset[int]) -> frozenset[int]:
+    """Dangling indices of a body, seen from outside one binder."""
+    return frozenset(i - 1 for i in indices if i > 0)
+
+
+class PiTerm(Node):
+    """Base class for pi terms.  Every node records, once, the indices it
+    references without binding them (see `dangling`)."""
+
+    __slots__ = ("_dangling",)
+    _table = {}
+
+    def _derive(self) -> None:
+        object.__setattr__(self, "_dangling", self._free_indices())
+
+    def _free_indices(self) -> frozenset[int]:
+        return frozenset()
+
+
+class PiNil(PiTerm):
     __slots__ = ()
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class PiNil(PiTerm):
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PiNil)
-
-    def __hash__(self) -> int:
-        return hash((10,))
-
-    def __repr__(self) -> str:
-        return "PiNil()"
+    def __new__(cls) -> PiNil:
+        return cls._make()
 
 
 PI_NIL = PiNil()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PiInput(PiTerm):
-    chan: NameRef
-    body: PiTerm  # binds index 0
-    _h: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("chan", "body")  # body binds index 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((11, self.chan, self.body)))
+    def __new__(cls, chan: NameRef, body: PiTerm) -> PiInput:
+        return cls._make(chan, body)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, PiInput)
-            and self._h == other._h
-            and self.chan == other.chan
-            and self.body == other.body
-        )
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __repr__(self) -> str:
-        return f"PiInput({self.chan!r}, {self.body!r})"
+    def _free_indices(self) -> frozenset[int]:
+        return _ref_dangling(self.chan) | _unbind(self.body._dangling)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PiOutput(PiTerm):
-    chan: NameRef
-    payload: NameRef
-    body: PiTerm
-    _h: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("chan", "payload", "body")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((12, self.chan, self.payload, self.body)))
+    def __new__(cls, chan: NameRef, payload: NameRef, body: PiTerm) -> PiOutput:
+        return cls._make(chan, payload, body)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, PiOutput)
-            and self._h == other._h
-            and self.chan == other.chan
-            and self.payload == other.payload
-            and self.body == other.body
-        )
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __repr__(self) -> str:
-        return f"PiOutput({self.chan!r}, {self.payload!r}, {self.body!r})"
+    def _free_indices(self) -> frozenset[int]:
+        return _ref_dangling(self.chan) | _ref_dangling(self.payload) | self.body._dangling
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PiPar(PiTerm):
-    parts: tuple[PiTerm, ...]
-    _h: int = field(init=False, repr=False, compare=False)
+    """Parallel composition.  The constructor flattens nested compositions,
+    drops Nil components and sorts the rest; it returns PI_NIL for no
+    component and the component itself for one."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((13,) + tuple(hash(p) for p in self.parts)))
+    __slots__ = _fields = ("parts",)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, PiPar) and self._h == other._h and self.parts == other.parts
+    def __new__(cls, parts: Iterable[PiTerm]) -> PiTerm:
+        items: list[PiTerm] = []
+        for p in parts:
+            if isinstance(p, PiPar):
+                items.extend(p.parts)
+            elif p is not PI_NIL:
+                items.append(p)
+        if not items:
+            return PI_NIL
+        if len(items) == 1:
+            return items[0]
+        items.sort(key=pi_sort_key)
+        return cls._make(tuple(items))
 
-    def __hash__(self) -> int:
-        return self._h
-
-    def __repr__(self) -> str:
-        return f"PiPar({list(self.parts)!r})"
+    def _free_indices(self) -> frozenset[int]:
+        return frozenset().union(*(p._dangling for p in self.parts))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PiNu(PiTerm):
-    body: PiTerm  # binds index 0
-    _h: int = field(init=False, repr=False, compare=False)
+    """Restriction; the body binds index 0.  The constructor drops a binder
+    that is never referenced: (nu p)P = P when p is not free in P, and in
+    particular (nu p)0 = 0."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((14, self.body)))
+    __slots__ = _fields = ("body",)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, PiNu) and self._h == other._h and self.body == other.body
+    def __new__(cls, body: PiTerm) -> PiTerm:
+        if 0 in body._dangling:
+            return cls._make(body)
 
-    def __hash__(self) -> int:
-        return self._h
+        def fn(r: NameRef, d: int) -> NameRef:
+            if isinstance(r, BoundName) and r.index > d:
+                return BoundName(r.index - 1)
+            return r
 
-    def __repr__(self) -> str:
-        return f"PiNu({self.body!r})"
+        return _map_refs(body, fn)
+
+    def _free_indices(self) -> frozenset[int]:
+        return _unbind(self.body._dangling)
 
 
 # --------------------------------------------------------------------------
-# ordering, traversal, canonical construction
+# ordering and traversal
 
 
 def _ref_key(r: NameRef) -> tuple:
@@ -185,39 +176,15 @@ def _map_refs(t: PiTerm, fn: Callable[[NameRef, int], NameRef], depth: int = 0) 
         case PiOutput(chan=c, payload=p, body=b):
             return PiOutput(fn(c, depth), fn(p, depth), _map_refs(b, fn, depth))
         case PiPar(parts=ps):
-            return pi_par(_map_refs(p, fn, depth) for p in ps)
+            return PiPar(_map_refs(p, fn, depth) for p in ps)
         case PiNu(body=b):
-            return pi_nu(_map_refs(b, fn, depth + 1))
+            return PiNu(_map_refs(b, fn, depth + 1))
     raise TypeError(f"not a pi term: {t!r}")
 
 
-def dangling(t: PiTerm, depth: int = 0) -> frozenset[int]:
+def dangling(t: PiTerm) -> frozenset[int]:
     """Indices referenced in t but not bound inside it, counted from t's top."""
-    out: set[int] = set()
-
-    def refs(u: PiTerm, d: int) -> None:
-        match u:
-            case PiNil():
-                return
-            case PiInput(chan=c, body=b):
-                _note(c, d)
-                refs(b, d + 1)
-            case PiOutput(chan=c, payload=p, body=b):
-                _note(c, d)
-                _note(p, d)
-                refs(b, d)
-            case PiPar(parts=ps):
-                for p in ps:
-                    refs(p, d)
-            case PiNu(body=b):
-                refs(b, d + 1)
-
-    def _note(r: NameRef, d: int) -> None:
-        if isinstance(r, BoundName) and r.index >= d:
-            out.add(r.index - d)
-
-    refs(t, depth)
-    return frozenset(out)
+    return t._dangling
 
 
 @lru_cache(maxsize=None)
@@ -251,23 +218,6 @@ def pi_size(t: PiTerm) -> int:
     raise TypeError(f"not a pi term: {t!r}")
 
 
-def pi_par(parts: Iterable[PiTerm]) -> PiTerm:
-    items: list[PiTerm] = []
-    for p in parts:
-        if isinstance(p, PiNil):
-            continue
-        if isinstance(p, PiPar):
-            items.extend(p.parts)
-        else:
-            items.append(p)
-    if not items:
-        return PI_NIL
-    if len(items) == 1:
-        return items[0]
-    items.sort(key=pi_sort_key)
-    return PiPar(tuple(items))
-
-
 def _shift_dangling(t: PiTerm, amount: int) -> PiTerm:
     if amount == 0:
         return t
@@ -278,35 +228,6 @@ def _shift_dangling(t: PiTerm, amount: int) -> PiTerm:
         return r
 
     return _map_refs(t, fn)
-
-
-def pi_nu(body: PiTerm) -> PiTerm:
-    """Restriction constructor; a binder that is never referenced is dropped
-    (nu p)P = P when p is not free in P, and in particular (nu p)0 = 0."""
-    if 0 in dangling(body):
-        return PiNu(body)
-
-    def fn(r: NameRef, d: int) -> NameRef:
-        if isinstance(r, BoundName) and r.index > d:
-            return BoundName(r.index - 1)
-        return r
-
-    return _map_refs(body, fn)
-
-
-def pi_canonicalize(t: PiTerm) -> PiTerm:
-    match t:
-        case PiNil():
-            return t
-        case PiInput(chan=c, body=b):
-            return PiInput(c, pi_canonicalize(b))
-        case PiOutput(chan=c, payload=p, body=b):
-            return PiOutput(c, p, pi_canonicalize(b))
-        case PiPar(parts=ps):
-            return pi_par(pi_canonicalize(p) for p in ps)
-        case PiNu(body=b):
-            return pi_nu(pi_canonicalize(b))
-    raise TypeError(f"not a pi term: {t!r}")
 
 
 def open_binder(t: PiTerm, name: str) -> PiTerm:
@@ -414,7 +335,7 @@ def late_transitions(t: PiTerm) -> frozenset[tuple[PiAction, PiTerm]]:
             for i, ts in enumerate(part_ts):
                 rest = ps[:i] + ps[i + 1 :]
                 for a, res in ts:
-                    out.add((a, pi_par((res,) + rest)))
+                    out.add((a, PiPar((res,) + rest)))
             for i in range(len(ps)):
                 for j in range(len(ps)):
                     if i == j:
@@ -425,9 +346,9 @@ def late_transitions(t: PiTerm) -> frozenset[tuple[PiAction, PiTerm]]:
                             continue
                         for aj, rj in part_ts[j]:
                             if isinstance(aj, FreeOutAct) and aj.chan == ai.chan:
-                                out.add((PI_TAU, pi_par((open_binder(ri, aj.payload), rj) + rest)))
+                                out.add((PI_TAU, PiPar((open_binder(ri, aj.payload), rj) + rest)))
                             elif isinstance(aj, BoundOutAct) and aj.chan == ai.chan:
-                                out.add((PI_TAU, pi_nu(pi_par((ri, rj) + rest))))
+                                out.add((PI_TAU, PiNu(PiPar((ri, rj) + rest))))
             return frozenset(out)
         case PiNu(body=b):
             m = fresh_marker(free_names(b))
@@ -436,16 +357,16 @@ def late_transitions(t: PiTerm) -> frozenset[tuple[PiAction, PiTerm]]:
                 match a:
                     case InputAct(chan=c) | BoundOutAct(chan=c):
                         if c != m:
-                            out.add((a, pi_nu(close_binder(res, m))))
+                            out.add((a, PiNu(close_binder(res, m))))
                     case FreeOutAct(chan=c, payload=pay):
                         if c == m:
                             continue
                         if pay == m:
                             out.add((BoundOutAct(c), close_binder(res, m)))
                         else:
-                            out.add((a, pi_nu(close_binder(res, m))))
+                            out.add((a, PiNu(close_binder(res, m))))
                     case PiTauAct():
-                        out.add((a, pi_nu(close_binder(res, m))))
+                        out.add((a, PiNu(close_binder(res, m))))
             return frozenset(out)
     raise TypeError(f"transitions need a closed canonical term: {t!r}")
 
@@ -537,19 +458,19 @@ def ground_bisim(p: PiTerm, q: PiTerm) -> bool:
     """Strong ground bisimilarity: inputs and bound outputs are instantiated
     with one canonical fresh name (the least reserved name free in neither
     state)."""
-    return _pi_bisim(pi_canonicalize(p), pi_canonicalize(q), "ground")
+    return _pi_bisim(p, q, "ground")
 
 
 def late_bisim(p: PiTerm, q: PiTerm) -> bool:
     """Strong late bisimilarity: one responder continuation must work for
     every instantiation name in fn(p) | fn(q) plus a fresh one."""
-    return _pi_bisim(pi_canonicalize(p), pi_canonicalize(q), "late")
+    return _pi_bisim(p, q, "late")
 
 
 def early_bisim(p: PiTerm, q: PiTerm) -> bool:
     """Strong early bisimilarity: the responder may pick a continuation per
     instantiation name."""
-    return _pi_bisim(pi_canonicalize(p), pi_canonicalize(q), "early")
+    return _pi_bisim(p, q, "early")
 
 
 # --------------------------------------------------------------------------
@@ -632,7 +553,7 @@ def _extrusion_normal(t: PiTerm) -> PiTerm:
                     continue
                 else:
                     out.append(item)
-            return _nu_block(k, pi_par(out))
+            return _nu_block(k, PiPar(out))
     raise TypeError(f"not a pi term: {t!r}")
 
 
@@ -640,7 +561,7 @@ def pi_struct_congr(p: PiTerm, q: PiTerm) -> bool:
     """Structural congruence: alpha (built into the representation), the
     parallel monoid laws, restriction reordering, vacuous-restriction
     elimination and scope extrusion."""
-    return _extrusion_normal(pi_canonicalize(p)) == _extrusion_normal(pi_canonicalize(q))
+    return _extrusion_normal(p) == _extrusion_normal(q)
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +584,6 @@ def classify_transitions(p: PiTerm, sigma: Mapping[str, str]) -> list[Classified
     identifies: free output (2b) or bound output (2c), with the reconstructed
     residual ground-bisimilar to the observed one.
     """
-    p = pi_canonicalize(p)
     ps = pi_substitute(p, sigma)
     tp = late_transitions(p)
     out: list[ClassifiedTransition] = []
@@ -718,7 +638,7 @@ def _match_created_tau(
             mid = open_binder(res, m)
             for a2, res2 in late_transitions(mid):
                 if isinstance(a2, InputAct) and identified(a2.chan, a.chan):
-                    cand = pi_substitute(pi_nu(close_binder(open_binder(res2, m), m)), sigma)
+                    cand = pi_substitute(PiNu(close_binder(open_binder(res2, m), m)), sigma)
                     if ground_bisim(cand, res_s):
                         return "2c"
     return None

@@ -22,13 +22,10 @@ from .terms import (
     Sum,
     Term,
     Var,
-    act,
-    canonicalize,
     fresh_names,
     instantiate,
     is_ground,
     names,
-    par,
     parallel_components,
     prefixes,
     size,
@@ -51,8 +48,8 @@ def _redex_contractions(prefix: Prefix, cont: Term) -> list[Term]:
             for c, m in counts.items():
                 m_left = m - k if c == e else m
                 remainder.extend([c] * m_left)
-            if par(remainder) == e.cont:
-                out.append(par([e] * (k + 1)))
+            if Par(remainder) == e.cont:
+                out.append(Par([e] * (k + 1)))
     return out
 
 
@@ -74,7 +71,7 @@ def rewrite_step(t: Term) -> Term | None:
             for i, part in enumerate(ps):
                 r = rewrite_step(part)
                 if r is not None:
-                    return par(ps[:i] + (r,) + ps[i + 1 :])
+                    return Par(ps[:i] + (r,) + ps[i + 1 :])
             return None
     raise TypeError(f"not a term: {t!r}")
 
@@ -91,7 +88,7 @@ def rewrite_candidates(t: Term) -> frozenset[Term]:
         case Par(parts=ps):
             for i, part in enumerate(ps):
                 for r in rewrite_candidates(part):
-                    out.add(par(ps[:i] + (r,) + ps[i + 1 :]))
+                    out.add(Par(ps[:i] + (r,) + ps[i + 1 :]))
         case Sum():
             raise ValueError("the distribution law applies to sum-free terms only")
         case _:
@@ -100,13 +97,12 @@ def rewrite_candidates(t: Term) -> frozenset[Term]:
 
 
 def normalize_steps(t: Term) -> tuple[Term, int]:
-    u = canonicalize(t)
     steps = 0
     while True:
-        r = rewrite_step(u)
+        r = rewrite_step(t)
         if r is None:
-            return u, steps
-        u = r
+            return t, steps
+        t = r
         steps += 1
 
 
@@ -125,7 +121,7 @@ def normalize_open(t: Term) -> Term:
 def decide_bisim(p: Term, q: Term) -> bool:
     """Strong bisimilarity of ground sum-free terms, decided by comparing
     distribution-law normal forms."""
-    return normalize(canonicalize(p)) == normalize(canonicalize(q))
+    return normalize(p) == normalize(q)
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +133,7 @@ def prime_decompose(p: Term) -> tuple[Term, ...]:
     Every prefixed normal form is prime, and the decomposition is unique."""
     if not is_ground(p):
         raise ValueError("prime decomposition undefined on open terms")
-    return parallel_components(normalize(canonicalize(p)))
+    return parallel_components(normalize(p))
 
 
 def is_prime(p: Term) -> bool:
@@ -153,7 +149,6 @@ def is_prime_bruteforce(p: Term, *, size_bound: int = 6, equivalence=None) -> bo
     """
     from .generate import ccs_terms_of_size
 
-    p = canonicalize(p)
     if not is_ground(p):
         raise ValueError("prime decomposition undefined on open terms")
     equiv = equivalence if equivalence is not None else bisimilar_oracle
@@ -166,7 +161,7 @@ def is_prime_bruteforce(p: Term, *, size_bound: int = 6, equivalence=None) -> bo
     for k in range(1, n // 2 + 1):
         for q in ccs_terms_of_size(k, alphabet):
             for r in ccs_terms_of_size(n - k, alphabet):
-                if equiv(p, par((q, r))):
+                if equiv(p, Par((q, r))):
                     return False
     return True
 
@@ -179,10 +174,9 @@ def decide_extensional(m: Term, n: Term) -> bool:
     """Equality of open terms under every closing substitution.  Decided by
     instantiating each variable with a.0 for fresh distinct names a and
     comparing normal forms of the ground instances."""
-    m, n = canonicalize(m), canonicalize(n)
     vs = sorted(variables(m) | variables(n))
     fresh = fresh_names(names(m) | names(n), len(vs))
-    inst = {v: act(Prefix(f), NIL) for v, f in zip(vs, fresh)}
+    inst = {v: Act(Prefix(f), NIL) for v, f in zip(vs, fresh)}
     gm = instantiate(m, inst, require_ground=True)
     gn = instantiate(n, inst, require_ground=True)
     return decide_bisim(gm, gn)

@@ -9,10 +9,8 @@ the desk-scale ones the acceptance run uses.
 from __future__ import annotations
 
 import inspect
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -56,7 +54,6 @@ from .terms import (
     fresh_names,
     instantiate,
     names,
-    par,
     parallel_components,
     size,
     substitute,
@@ -83,22 +80,6 @@ class SuiteReport:
         if self.notes:
             line += f" ({self.notes})"
         return line
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CCSPI_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_work(fn: Callable, items: list) -> list:
-    """Order-preserving map, sharded over threads when CCSPI_WORKERS > 1."""
-    n = _worker_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -164,8 +145,8 @@ def replication_ladder(n_max: int = 10) -> SuiteReport:
     failures: list[str] = []
     a0 = Act(Prefix("a"), NIL)
     for n in range(1, n_max + 1):
-        ladder = Act(Prefix("a"), par([a0] * n))
-        target = par([a0] * (n + 1))
+        ladder = Act(Prefix("a"), Par([a0] * n))
+        target = Par([a0] * (n + 1))
         if not decide_bisim(ladder, target):
             failures.append(f"n={n}: ladder not bisimilar to the {n + 1}-fold product")
         comps = prime_decompose(ladder)
@@ -251,7 +232,7 @@ def cancellation(size_bound: int = 5, name_pool: tuple[str, ...] = ("a", "b")) -
         for n in range(budget + 1):
             for x in by_size[n]:
                 checked += 1
-                img = blocks[par((x, r))]
+                img = blocks[Par((x, r))]
                 b = blocks[x]
                 rep_of_block.setdefault(b, x)
                 if img_of_block.setdefault(b, img) != img:
@@ -469,7 +450,7 @@ def erasure_random(
     ctx = ErasureContext(*observed)
     rng = random.Random(seed)
     terms = [random_pi(rng, max_prefixes, max_nus, frees) for _ in range(count)]
-    results = _map_work(lambda p: check_erasure_transitions(p, ctx), terms)
+    results = [check_erasure_transitions(p, ctx) for p in terms]
     failures = [
         f"correspondence failed: {print_pi(p)}" for p, ok in zip(terms, results) if not ok
     ]
@@ -665,7 +646,7 @@ def pi_subst_cases(
                 break
         kept, dropped = rng.sample(fn, 2)
         tasks.append((p, {dropped: kept}))
-    results = _map_work(lambda job: classify_transitions(job[0], job[1]), tasks)
+    results = [classify_transitions(p, sg) for p, sg in tasks]
     failures: list[str] = []
     case_counts: dict[str, int] = {}
     n_transitions = 0

@@ -26,11 +26,8 @@ from .pi import (
     PiTerm,
     dangling,
     free_names,
-    pi_canonicalize,
-    pi_nu,
-    pi_par,
 )
-from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, canonicalize, csum, par, sort_key
+from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, sort_key
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class _Parser:
         parts = [self.ccs_sum(allow_sum, allow_var)]
         while self.take("bar"):
             parts.append(self.ccs_sum(allow_sum, allow_var))
-        return par(parts)
+        return Par(parts)
 
     def ccs_sum(self, allow_sum: bool, allow_var: bool) -> Term:
         first_span = self.peek().span
@@ -133,7 +130,7 @@ class _Parser:
         for t, span in operands:
             if not isinstance(t, Act):
                 raise ParseError("summands must be prefixed", span)
-        return csum(t for t, _ in operands)
+        return Sum(t for t, _ in operands)
 
     def ccs_pre(self, allow_sum: bool, allow_var: bool) -> Term:
         if self.peek().kind in ("quote", "name"):
@@ -166,7 +163,7 @@ class _Parser:
         parts = [self.pi_pre(env)]
         while self.take("bar"):
             parts.append(self.pi_pre(env))
-        return pi_par(parts)
+        return PiPar(parts)
 
     def pi_pre(self, env: list[str]) -> PiTerm:
         tok = self.peek()
@@ -187,7 +184,7 @@ class _Parser:
                 self.pos += 2
                 binder = self.expect("name", "a binder name").text
                 self.expect("rpar", "')'")
-                return pi_nu(self.pi_pre([binder] + env))
+                return PiNu(self.pi_pre([binder] + env))
             self.pos += 1
             t = self.pi_term(env)
             self.expect("rpar", "')'")
@@ -210,7 +207,7 @@ def parse_ccs(text: str) -> Term:
     p = _Parser(tokenize(text))
     t = p.ccs_term(allow_sum=False, allow_var=True)
     p.done()
-    return canonicalize(t)
+    return t
 
 
 def parse_ccs_plus(text: str) -> Term:
@@ -218,14 +215,14 @@ def parse_ccs_plus(text: str) -> Term:
     p = _Parser(tokenize(text))
     t = p.ccs_term(allow_sum=True, allow_var=False)
     p.done()
-    return canonicalize(t)
+    return t
 
 
 def parse_pi(text: str) -> PiTerm:
     p = _Parser(tokenize(text))
     t = p.pi_term([])
     p.done()
-    return pi_canonicalize(t)
+    return t
 
 
 # printers -----------------------------------------------------------------
@@ -293,7 +290,7 @@ def print_pi(t: PiTerm) -> str:
 
 def print_term(t: Term | PiTerm) -> str:
     """Printer dispatching on the term family."""
-    if isinstance(t, (PiNil, PiInput, PiOutput, PiPar, PiNu)):
+    if isinstance(t, PiTerm):
         return print_pi(t)
     return print_ccs(t)
 
@@ -326,9 +323,9 @@ def term_from_obj(obj: dict) -> Term:
         case {"kind": "act", "name": str(n), "co": bool(co), "cont": c}:
             return Act(Prefix(n, co), term_from_obj(c))
         case {"kind": "par", "parts": list(ps)}:
-            return par(term_from_obj(x) for x in ps)
+            return Par(term_from_obj(x) for x in ps)
         case {"kind": "sum", "parts": list(ps)}:
-            return csum(term_from_obj(x) for x in ps)
+            return Sum(term_from_obj(x) for x in ps)
     raise ValueError(f"not a term document: {obj!r}")
 
 
@@ -376,9 +373,9 @@ def pi_from_obj(obj: dict) -> PiTerm:
         case {"kind": "output", "chan": c, "payload": n, "body": b}:
             return PiOutput(_ref_from_obj(c), _ref_from_obj(n), pi_from_obj(b))
         case {"kind": "nu", "body": b}:
-            return pi_nu(pi_from_obj(b))
+            return PiNu(pi_from_obj(b))
         case {"kind": "par", "parts": list(ps)}:
-            return pi_par(pi_from_obj(x) for x in ps)
+            return PiPar(pi_from_obj(x) for x in ps)
     raise ValueError(f"not a pi term document: {obj!r}")
 
 

@@ -3,8 +3,17 @@
 Terms are immutable trees kept in a canonical form that quotients out
 structural congruence: parallel composition is a flattened, sorted
 multiset with Nil components removed, and sums are flattened, sorted
-*sets* (idempotence) of prefixed terms.  Two canonical terms denote
-structurally congruent processes iff they are equal.
+*sets* (idempotence) of prefixed terms.  Each node kind has exactly one
+constructor, its class, and that constructor applies these rules, so no
+term can be built in non-canonical form.
+
+Nodes are hash-consed: a constructor looks its canonical result up in an
+intern table shared by the term family and returns the node already there.
+Structurally congruent terms are therefore the same object, and equality
+and hashing are the identity ones inherited from `object`.  The intern
+tables hold every node ever built and live as long as the process.  They
+are never cleared: a term held in some cache would otherwise get an
+unequal twin.
 
 Open terms may contain process variables (written uppercase); these are
 opaque leaves that can stand in parallel contexts and under prefixes but
@@ -13,7 +22,7 @@ never head a transition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping
@@ -35,105 +44,121 @@ class Prefix:
         return ("'" if self.co else "") + self.name
 
 
-class Term:
-    """Base class for CCS terms; concrete nodes carry a cached hash."""
+class Node:
+    """Interned, immutable tree node shared by the CCS and pi term families.
+
+    A concrete class declares its structural fields as `__slots__` and
+    `_fields`, and builds instances with `_make`, which publishes a new node
+    with `dict.setdefault` in the family's `_table`, so two threads can
+    never publish two nodes for one key.  `_derive` may fill further slots
+    computed once per node from its fields.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _table: dict[tuple, Node]
 
+    @classmethod
+    def _make(cls, *fields):
+        key = (cls, *fields)
+        node = cls._table.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(node, name, value)
+            node._derive()
+            node = cls._table.setdefault(key, node)
+        return node
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Nil(Term):
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Nil)
+    def _derive(self) -> None:
+        pass
 
-    def __hash__(self) -> int:
-        return hash((0,))
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __repr__(self) -> str:
-        return "Nil()"
+        args = ", ".join(repr(getattr(self, f)) for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Term(Node):
+    """Base class for CCS terms."""
+
+    __slots__ = ()
+    _table = {}
+
+
+class Nil(Term):
+    __slots__ = ()
+
+    def __new__(cls) -> Nil:
+        return cls._make()
 
 
 NIL = Nil()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Act(Term):
-    prefix: Prefix
-    cont: Term
-    _h: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("prefix", "cont")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((1, self.prefix, self.cont)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Act)
-            and self._h == other._h
-            and self.prefix == other.prefix
-            and self.cont == other.cont
-        )
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __repr__(self) -> str:
-        return f"Act({self.prefix}, {self.cont!r})"
+    def __new__(cls, prefix: Prefix, cont: Term) -> Act:
+        return cls._make(prefix, cont)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Par(Term):
-    parts: tuple[Term, ...]
-    _h: int = field(init=False, repr=False, compare=False)
+    """Parallel composition.  The constructor flattens nested compositions,
+    drops Nil components and sorts the rest; it returns NIL for no
+    component and the component itself for one."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((2,) + tuple(hash(p) for p in self.parts)))
+    __slots__ = _fields = ("parts",)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Par) and self._h == other._h and self.parts == other.parts
+    def __new__(cls, parts: Iterable[Term]) -> Term:
+        items: list[Term] = []
+        for p in parts:
+            if isinstance(p, Par):
+                items.extend(p.parts)
+            elif p is not NIL:
+                items.append(p)
+        if not items:
+            return NIL
+        if len(items) == 1:
+            return items[0]
+        items.sort(key=sort_key)
+        return cls._make(tuple(items))
 
-    def __hash__(self) -> int:
-        return self._h
 
-    def __repr__(self) -> str:
-        return f"Par({list(self.parts)!r})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Term):
-    parts: tuple[Term, ...]
-    _h: int = field(init=False, repr=False, compare=False)
+    """Guarded sum.  The constructor flattens nested sums, drops Nil, removes
+    duplicate summands and sorts the rest; it returns NIL for no summand and
+    the summand itself for one.  Summands must be prefixed."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((3,) + tuple(hash(p) for p in self.parts)))
+    __slots__ = _fields = ("parts",)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Sum) and self._h == other._h and self.parts == other.parts
+    def __new__(cls, parts: Iterable[Term]) -> Term:
+        items: set[Term] = set()
+        for p in parts:
+            if isinstance(p, Sum):
+                items.update(p.parts)
+            elif isinstance(p, Act):
+                items.add(p)
+            elif p is not NIL:
+                raise ValueError("summands must be prefixed")
+        if not items:
+            return NIL
+        ordered = sorted(items, key=sort_key)
+        if len(ordered) == 1:
+            return ordered[0]
+        return cls._make(tuple(ordered))
 
-    def __hash__(self) -> int:
-        return self._h
 
-    def __repr__(self) -> str:
-        return f"Sum({list(self.parts)!r})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
-    ident: str
+    __slots__ = _fields = ("ident",)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Var) and self.ident == other.ident
-
-    def __hash__(self) -> int:
-        return hash((4, self.ident))
-
-    def __repr__(self) -> str:
-        return f"Var({self.ident})"
+    def __new__(cls, ident: str) -> Var:
+        return cls._make(ident)
 
 
 # --------------------------------------------------------------------------
@@ -155,64 +180,6 @@ def sort_key(t: Term) -> tuple:
             return (3, tuple(sort_key(p) for p in ps))
         case Var(ident=v):
             return (4, v)
-    raise TypeError(f"not a term: {t!r}")
-
-
-# --------------------------------------------------------------------------
-# smart constructors: arguments must already be canonical
-
-
-def act(prefix: Prefix, cont: Term) -> Term:
-    return Act(prefix, cont)
-
-
-def par(parts: Iterable[Term]) -> Term:
-    items: list[Term] = []
-    for p in parts:
-        if isinstance(p, Nil):
-            continue
-        if isinstance(p, Par):
-            items.extend(p.parts)
-        else:
-            items.append(p)
-    if not items:
-        return NIL
-    if len(items) == 1:
-        return items[0]
-    items.sort(key=sort_key)
-    return Par(tuple(items))
-
-
-def csum(parts: Iterable[Term]) -> Term:
-    items: set[Term] = set()
-    for p in parts:
-        if isinstance(p, Nil):
-            continue
-        if isinstance(p, Sum):
-            items.update(p.parts)
-            continue
-        if not isinstance(p, Act):
-            raise ValueError("summands must be prefixed")
-        items.add(p)
-    if not items:
-        return NIL
-    ordered = sorted(items, key=sort_key)
-    if len(ordered) == 1:
-        return ordered[0]
-    return Sum(tuple(ordered))
-
-
-def canonicalize(t: Term) -> Term:
-    """Rebuild an arbitrary term tree in canonical form (idempotent)."""
-    match t:
-        case Nil() | Var():
-            return t
-        case Act(prefix=p, cont=c):
-            return Act(p, canonicalize(c))
-        case Par(parts=ps):
-            return par(canonicalize(p) for p in ps)
-        case Sum(parts=ps):
-            return csum(canonicalize(p) for p in ps)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -326,9 +293,9 @@ def substitute(t: Term, sigma: Mapping[Name, Name]) -> Term:
             case Act(prefix=p, cont=c):
                 return Act(Prefix(sigma.get(p.name, p.name), p.co), go(c))
             case Par(parts=ps):
-                return par(go(p) for p in ps)
+                return Par(go(p) for p in ps)
             case Sum(parts=ps):
-                return csum(go(p) for p in ps)
+                return Sum(go(p) for p in ps)
         raise TypeError(f"not a term: {u!r}")
 
     return go(t)
@@ -342,7 +309,7 @@ def instantiate(t: Term, mapping: Mapping[str, Term], *, require_ground: bool = 
         match u:
             case Var(ident=v):
                 if v in mapping:
-                    return canonicalize(mapping[v])
+                    return mapping[v]
                 if require_ground:
                     raise ValueError(f"variable {v} not covered by the instantiation")
                 return u
@@ -351,24 +318,12 @@ def instantiate(t: Term, mapping: Mapping[str, Term], *, require_ground: bool = 
             case Act(prefix=p, cont=c):
                 return Act(p, go(c))
             case Par(parts=ps):
-                return par(go(p) for p in ps)
+                return Par(go(p) for p in ps)
             case Sum(parts=ps):
-                return csum(go(p) for p in ps)
+                return Sum(go(p) for p in ps)
         raise TypeError(f"not a term: {u!r}")
 
     return go(t)
-
-
-def has_sum(t: Term) -> bool:
-    match t:
-        case Sum():
-            return True
-        case Act(cont=c):
-            return has_sum(c)
-        case Par(parts=ps):
-            return any(has_sum(p) for p in ps)
-        case _:
-            return False
 
 
 def fresh_names(avoid: Iterable[Name], count: int) -> list[Name]:

@@ -135,6 +135,13 @@ def test_parse_error_is_reported(capsys):
     assert "sums are not part of this calculus" in err
 
 
+def test_too_deep_input_is_an_error_not_a_verdict(capsys):
+    # exit 1 would read as "does not hold"
+    code, out, err = run(capsys, "normalize", "a.b." * 1500 + "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_enumerate_list(capsys):
     code, out, _ = run(capsys, "enumerate", "--list")
     assert code == 0

@@ -15,7 +15,7 @@ from ccspi.lts import (
     transitions,
 )
 from ccspi.syntax import parse_ccs, parse_ccs_plus
-from ccspi.terms import NIL, Act, Prefix, Var, canonicalize, par, size
+from ccspi.terms import NIL, Act, Par, Prefix, Var, size
 
 
 def term_st():
@@ -23,10 +23,10 @@ def term_st():
         st.just(NIL),
         lambda kids: st.one_of(
             st.builds(Act, st.builds(Prefix, st.sampled_from("ab"), st.booleans()), kids),
-            st.lists(kids, min_size=2, max_size=3).map(par),
+            st.lists(kids, min_size=2, max_size=3).map(Par),
         ),
         max_leaves=6,
-    ).map(canonicalize)
+    )
 
 
 def test_transitions_prefix():
@@ -104,7 +104,7 @@ def test_oracle_reflexive(t):
 @given(term_st(), term_st(), term_st())
 def test_oracle_congruence_under_par(p, q, r):
     if bisimilar_oracle(p, q):
-        assert bisimilar_oracle(par([p, r]), par([q, r]))
+        assert bisimilar_oracle(Par([p, r]), Par([q, r]))
 
 
 def test_blocks_group_bisimilar_roots():

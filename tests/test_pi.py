@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canonical_form import is_canonical
 from ccspi.generate import random_pi
 from ccspi.pi import (
     PI_NIL,
@@ -30,9 +31,6 @@ from ccspi.pi import (
     late_bisim,
     late_transitions,
     open_binder,
-    pi_canonicalize,
-    pi_nu,
-    pi_par,
     pi_size,
     pi_struct_congr,
     pi_substitute,
@@ -54,13 +52,18 @@ def test_alpha_equivalence_is_equality():
     assert parse_pi("(nu p)(p(x).0)") == parse_pi("(nu q)(q(x).0)")
 
 
+def test_alpha_equivalent_terms_are_one_object():
+    assert parse_pi("a(x).x<a>.0") is parse_pi("a(y).y<a>.0")
+    assert parse_pi("(nu p)(p(x).0 | b(y).0)") is parse_pi("(nu q)(b(z).0 | q(x).0)")
+
+
 def test_binders_are_positional():
     t = parse_pi("a(x).x<a>.0")
     assert t == PiInput(FreeName("a"), PiOutput(BoundName(0), FreeName("a"), PI_NIL))
 
 
 def test_vacuous_nu_is_dropped():
-    assert pi_nu(parse_pi("a(x).0")) == parse_pi("a(x).0")
+    assert PiNu(parse_pi("a(x).0")) == parse_pi("a(x).0")
     assert parse_pi("(nu p)(a(x).0)") == parse_pi("a(x).0")
     kept = parse_pi("(nu p)(p(x).0)")
     assert isinstance(kept, PiNu)
@@ -80,7 +83,7 @@ def test_free_names_ignore_bound():
 
 
 def test_pi_par_flattens():
-    t = pi_par([parse_pi("a(x).0"), pi_par([parse_pi("b(x).0"), PI_NIL])])
+    t = PiPar([parse_pi("a(x).0"), PiPar([parse_pi("b(x).0"), PI_NIL])])
     assert isinstance(t, PiPar) and len(t.parts) == 2
     assert pi_size(t) == 2
 
@@ -100,7 +103,36 @@ def test_pi_substitute():
 @given(pi_st())
 def test_random_terms_closed_and_canonical(t):
     assert dangling(t) == frozenset()
-    assert pi_canonicalize(t) == t
+    assert is_canonical(t)
+
+
+def raw_pi_st():
+    """Arbitrary constructor calls, unused binders and dangling indices
+    included."""
+    refs = st.sampled_from([FreeName("a"), FreeName("b"), BoundName(0), BoundName(1)])
+    return st.recursive(
+        st.just(PI_NIL),
+        lambda kids: st.one_of(
+            st.builds(PiInput, refs, kids),
+            st.builds(PiOutput, refs, refs, kids),
+            st.lists(kids, max_size=3).map(PiPar),
+            st.builds(PiNu, kids),
+        ),
+        max_leaves=6,
+    )
+
+
+@given(raw_pi_st())
+def test_constructors_yield_canonical_nodes(t):
+    assert is_canonical(t)
+
+
+def test_nodes_are_immutable():
+    t = parse_pi("(nu p)(p(x).0 | a<p>.0)")
+    for node, attr in ((t, "body"), (t.body, "parts"), (PI_NIL, "x")):
+        with pytest.raises(AttributeError):
+            setattr(node, attr, PI_NIL)
+        assert not hasattr(node, "__dict__")
 
 
 # late transitions -----------------------------------------------------------
@@ -193,7 +225,7 @@ def test_modes_reflexive(t):
 
 def test_struct_congr_extrudes_scope():
     l = parse_pi("(nu p)(a<p>.0 | b(y).0)")
-    r = pi_par([parse_pi("b(y).0"), parse_pi("(nu p)(a<p>.0)")])
+    r = PiPar([parse_pi("b(y).0"), parse_pi("(nu p)(a<p>.0)")])
     assert pi_struct_congr(l, r)
     assert ground_bisim(l, r)
     assert not pi_struct_congr(parse_pi("a(x).0 | a(y).0"), parse_pi("a(x).a(y).0"))

@@ -22,12 +22,11 @@ from ccspi.syntax import parse_ccs
 from ccspi.terms import (
     NIL,
     Act,
+    Par,
     Prefix,
+    Sum,
     Var,
-    canonicalize,
-    csum,
     instantiate,
-    par,
     weight,
 )
 
@@ -40,10 +39,10 @@ def term_st(with_vars=False):
         base,
         lambda kids: st.one_of(
             st.builds(Act, st.builds(Prefix, st.sampled_from("ab"), st.booleans()), kids),
-            st.lists(kids, min_size=2, max_size=3).map(par),
+            st.lists(kids, min_size=2, max_size=3).map(Par),
         ),
         max_leaves=6,
-    ).map(canonicalize)
+    )
 
 
 def test_rewrite_step_basic():
@@ -55,9 +54,9 @@ def test_rewrite_step_basic():
 
 def test_rewrite_rejects_sums():
     with pytest.raises(ValueError, match="sum-free"):
-        rewrite_step(csum([parse_ccs("a.0"), parse_ccs("b.0")]))
+        rewrite_step(Sum([parse_ccs("a.0"), parse_ccs("b.0")]))
     with pytest.raises(ValueError, match="sum-free"):
-        rewrite_candidates(csum([parse_ccs("a.0"), parse_ccs("b.0")]))
+        rewrite_candidates(Sum([parse_ccs("a.0"), parse_ccs("b.0")]))
 
 
 def test_normalize_ladder():
@@ -116,8 +115,8 @@ def test_distribution_law_shape():
     for p_src in ["0", "b.0", "a.0 | b.0"]:
         p = parse_ccs(p_src)
         for k in (1, 2):
-            red = Act(eta, par([p] + [Act(eta, p)] * k))
-            assert normalize(red) == par([Act(eta, p)] * (k + 1))
+            red = Act(eta, Par([p] + [Act(eta, p)] * k))
+            assert normalize(red) == Par([Act(eta, p)] * (k + 1))
 
 
 def test_prime_decompose():

@@ -32,7 +32,7 @@ from ccspi.syntax import (
     term_from_obj,
     term_to_obj,
 )
-from ccspi.terms import NIL, Act, Prefix, Var, csum, par
+from ccspi.terms import NIL, Act, Par, Prefix, Sum, Var
 
 
 # parsing --------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_parse_ccs_basics():
 
 
 def test_parse_ccs_par_and_grouping():
-    assert parse_ccs("a.0 | b.0") == par([parse_ccs("a.0"), parse_ccs("b.0")])
+    assert parse_ccs("a.0 | b.0") == Par([parse_ccs("a.0"), parse_ccs("b.0")])
     assert parse_ccs("a.(b.0 | c.0)") == Act(Prefix("a"), parse_ccs("b.0 | c.0"))
     assert parse_ccs("((a.0))") == parse_ccs("a.0")
     assert parse_ccs("b.0|a.0") == parse_ccs("a.0 | b.0")  # canonical order
@@ -55,14 +55,14 @@ def test_parse_ccs_par_and_grouping():
 
 def test_parse_ccs_variables():
     assert parse_ccs("X") == Var("X")
-    assert parse_ccs("a.X | Y") == par([Act(Prefix("a"), Var("X")), Var("Y")])
+    assert parse_ccs("a.X | Y") == Par([Act(Prefix("a"), Var("X")), Var("Y")])
 
 
 def test_parse_precedence():
     # "." over "+" over "|"
     t = parse_ccs_plus("a.0 + b.0 | c.0")
-    assert t == par([csum([parse_ccs("a.0"), parse_ccs("b.0")]), parse_ccs("c.0")])
-    assert parse_ccs_plus("a.b + c") == csum([parse_ccs("a.b.0"), parse_ccs("c.0")])
+    assert t == Par([Sum([parse_ccs("a.0"), parse_ccs("b.0")]), parse_ccs("c.0")])
+    assert parse_ccs_plus("a.b + c") == Sum([parse_ccs("a.b.0"), parse_ccs("c.0")])
 
 
 def test_parse_ccs_rejects_sums():

@@ -1,9 +1,10 @@
-"""Canonical term representation: smart constructors, measures, renaming."""
+"""Canonical term representation: interned constructors, measures, renaming."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from canonical_form import is_canonical
 from ccspi.terms import (
     NIL,
     Act,
@@ -12,14 +13,11 @@ from ccspi.terms import (
     Prefix,
     Sum,
     Var,
-    canonicalize,
     contribution,
-    csum,
     fresh_names,
     instantiate,
     is_ground,
     names,
-    par,
     parallel_components,
     prefixes,
     size,
@@ -49,10 +47,40 @@ def term_st(with_vars=False):
         base,
         lambda kids: st.one_of(
             st.builds(Act, prefix_st(), kids),
-            st.lists(kids, min_size=2, max_size=3).map(lambda xs: Par(tuple(xs))),
+            st.lists(kids, min_size=2, max_size=3).map(Par),
         ),
         max_leaves=6,
-    ).map(canonicalize)
+    )
+
+
+def raw_term_st():
+    """Arbitrary constructor calls: Nil parts, nested compositions and sums,
+    single parts and duplicate summands included."""
+
+    def extend(kids):
+        guarded = st.builds(Act, prefix_st(), kids)
+        summands = st.lists(guarded | st.just(NIL), max_size=3)
+        return st.one_of(
+            guarded,
+            st.lists(kids, max_size=4).map(Par),
+            summands.map(lambda xs: Sum(xs + [Sum(xs)])),
+        )
+
+    return st.recursive(st.sampled_from([NIL, Var("X"), Var("Y")]), extend, max_leaves=8)
+
+
+def rebuild(t):
+    """Build t again from fresh field values, with components reversed."""
+    match t:
+        case Act(prefix=p, cont=c):
+            return Act(Prefix(p.name, p.co), rebuild(c))
+        case Par(parts=ps):
+            return Par(rebuild(p) for p in reversed(ps))
+        case Sum(parts=ps):
+            return Sum(rebuild(p) for p in reversed(ps))
+        case Var(ident=v):
+            return Var(v)
+    return Nil()
 
 
 def test_prefix_polarity():
@@ -64,69 +92,90 @@ def test_prefix_polarity():
 
 
 def test_par_flattens_and_sorts():
-    assert par([b0, a0]) == par([a0, b0])
-    assert par([a0, par([b0, NIL])]) == par([a0, b0])
-    assert par([]) == NIL
-    assert par([a0]) == a0
-    assert par([NIL, NIL]) == NIL
+    assert Par([b0, a0]) == Par([a0, b0])
+    assert Par([a0, Par([b0, NIL])]) == Par([a0, b0])
+    assert Par([]) == NIL
+    assert Par([a0]) == a0
+    assert Par([NIL, NIL]) == NIL
 
 
 def test_par_keeps_multiplicity():
-    t = par([a0, a0])
+    t = Par([a0, a0])
     assert isinstance(t, Par)
     assert t.parts == (a0, a0)
 
 
 def test_csum_is_a_set():
-    assert csum([a0, a0]) == a0
-    assert csum([b0, a0]) == csum([a0, b0, a0])
-    assert csum([]) == NIL
-    s = csum([a0, b0])
+    assert Sum([a0, a0]) == a0
+    assert Sum([b0, a0]) == Sum([a0, b0, a0])
+    assert Sum([]) == NIL
+    s = Sum([a0, b0])
     assert isinstance(s, Sum)
     assert s.parts == (a0, b0)
 
 
 def test_csum_rejects_unguarded_summands():
     with pytest.raises(ValueError, match="summands must be prefixed"):
-        csum([a0, par([a0, b0])])
+        Sum([a0, Par([a0, b0])])
     with pytest.raises(ValueError, match="summands must be prefixed"):
-        csum([Var("X")])
+        Sum([Var("X")])
 
 
 def test_parallel_components():
     assert parallel_components(NIL) == ()
     assert parallel_components(a0) == (a0,)
-    assert parallel_components(par([a0, b0])) == (a0, b0)
+    assert parallel_components(Par([a0, b0])) == (a0, b0)
 
 
 @given(term_st(with_vars=True))
-def test_canonicalize_idempotent(t):
-    assert canonicalize(t) == t
+def test_rebuild_is_identity(t):
+    assert rebuild(t) is t
+
+
+def test_equal_terms_are_one_object():
+    assert Par([a0, b0]) is Par([b0, a0])
+    assert Sum([a0, b0, a0]) is Sum([b0, a0])
+    assert Act(Prefix("a"), Nil()) is a0
+    assert Nil() is NIL and Var("X") is Var("X")
+
+
+@given(raw_term_st())
+def test_constructors_yield_canonical_nodes(t):
+    assert is_canonical(t)
+
+
+def test_nodes_are_immutable():
+    for node, attr in ((a0, "cont"), (Par([a0, b0]), "parts"), (Var("X"), "ident"), (NIL, "x")):
+        with pytest.raises(AttributeError):
+            setattr(node, attr, NIL)
+        with pytest.raises(AttributeError):
+            delattr(node, attr)
+        assert not hasattr(node, "__dict__")
 
 
 @given(term_st(), term_st(), term_st())
 def test_par_associative_commutative(x, y, z):
-    assert par([x, par([y, z])]) == par([par([x, y]), z]) == par([z, y, x])
+    assert Par([x, Par([y, z])]) == Par([Par([x, y]), z]) == Par([z, y, x])
 
 
 def test_size_and_weight():
     assert size(NIL) == 0
     assert size(Act(A, Act(B, NIL))) == 2
-    assert size(par([a0, a0, b0])) == 3
+    assert size(Par([a0, a0, b0])) == 3
     # weight sums nesting depths, so it drops when prefixes move up
     assert weight(Act(A, Act(A, Act(A, NIL)))) == 6
-    assert weight(par([a0, a0, a0])) == 3
+    assert weight(Par([a0, a0, a0])) == 3
 
 
 def test_size_undefined_on_open_terms():
     with pytest.raises(ValueError):
         size(Var("X"))
     with pytest.raises(ValueError):
-        contribution(par([a0, Var("X")]), A)
+        contribution(Par([a0, Var("X")]), A)
 
 
 def test_contribution_counts_headed_components():
-    t = par([Act(A, b0), a0, Act(B, NIL)])
+    t = Par([Act(A, b0), a0, Act(B, NIL)])
     assert contribution(t, A) == 3
     assert contribution(t, B) == 1
     assert contribution(t, COA) == 0
@@ -135,7 +184,7 @@ def test_contribution_counts_headed_components():
 
 
 def test_name_queries():
-    t = par([Act(A, Var("X")), Act(Prefix("b", co=True), NIL)])
+    t = Par([Act(A, Var("X")), Act(Prefix("b", co=True), NIL)])
     assert prefixes(t) == frozenset({A, Prefix("b", co=True)})
     assert names(t) == frozenset({"a", "b"})
     assert variables(t) == frozenset({"X"})
@@ -147,15 +196,15 @@ def test_substitute_renames_and_recanonicalizes():
     assert substitute(Act(A, NIL), {"a": "c"}) == Act(Prefix("c"), NIL)
     assert substitute(Act(COA, NIL), {"a": "c"}) == Act(Prefix("c", co=True), NIL)
     # a collapse can merge summands
-    s = csum([Act(A, NIL), Act(B, NIL)])
+    s = Sum([Act(A, NIL), Act(B, NIL)])
     assert substitute(s, {"b": "a"}) == a0
     assert substitute(a0, {}) == a0
 
 
 def test_instantiate():
-    t = par([Var("X"), Act(A, Var("X"))])
+    t = Par([Var("X"), Act(A, Var("X"))])
     got = instantiate(t, {"X": b0})
-    assert got == par([b0, Act(A, b0)])
+    assert got == Par([b0, Act(A, b0)])
     assert instantiate(Var("X"), {}) == Var("X")
     with pytest.raises(ValueError, match="not covered"):
         instantiate(Var("X"), {}, require_ground=True)
