@@ -3,13 +3,14 @@ normal-form decision procedure for strong bisimilarity, CCS with guarded
 sums and distributed bisimilarity, and a finite pi fragment with ground,
 late, and early bisimilarity plus an erasure back into CCS."""
 
-from .distributed import d_transitions, dsim, perfect_matching, strong_bisim_plus
+from .distributed import dsim, perfect_matching
 from .erasure import ErasureContext, check_erasure_transitions, erase, transfer_check
 from .lts import (
     TAU,
     Lts,
     Tau,
     bisimilar_oracle,
+    d_transitions,
     distinguishing_depth,
     reachable_lts,
     transitions,
@@ -47,7 +48,6 @@ from .rewrite import (
     is_prime,
     is_prime_bruteforce,
     normalize,
-    normalize_open,
     normalize_steps,
     prime_decompose,
     rewrite_candidates,

@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .distributed import dsim, strong_bisim_plus
+from .distributed import dsim
 from .erasure import ErasureContext, erase
 from .lts import bisimilar_oracle, distinguishing_depth
 from .mirrored import search_md_diagram, search_md_parallel_shape
@@ -114,7 +114,7 @@ def cmd_bisim(args) -> int:
     elif style == "distributed":
         verdict = dsim(p, q)
     elif args.calculus == "ccs+":
-        verdict = strong_bisim_plus(p, q)
+        verdict = bisimilar_oracle(p, q)
     else:
         ground = is_ground(p) and is_ground(q)
         if method in ("oracle", "both") and not ground:

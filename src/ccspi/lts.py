@@ -1,6 +1,12 @@
 """Labelled transition semantics for CCS terms and the strong bisimilarity
 oracle computed by partition refinement.
 
+There is one structural operational semantics, the distributed one:
+`d_transitions` splits each residual into a local part (what the acting
+component becomes) and a concurrent part (everything that ran in parallel
+with it).  The interleaving `transitions` only rejoin the two parts, so the
+strong and distributed relations cannot drift apart.
+
 The transition relation consumes one prefix per visible step and two per
 synchronisation, so every transition strictly decreases term size: reachable
 state spaces are finite DAGs.
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable
 
-from .terms import Act, Nil, Par, Prefix, Sum, Term, Var, sort_key
+from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, sort_key
 
 
 @dataclass(frozen=True)
@@ -25,6 +31,8 @@ TAU = Tau()
 
 Action = Prefix | Tau
 
+Residual = tuple[Term, Term]  # (local, concurrent)
+
 
 def action_key(a: Action) -> tuple:
     if isinstance(a, Tau):
@@ -32,41 +40,49 @@ def action_key(a: Action) -> tuple:
     return (0, a.name, a.co)
 
 
-@lru_cache(maxsize=None)
-def transitions(t: Term) -> frozenset[tuple[Action, Term]]:
-    """One-step transitions of a ground canonical term (targets canonical).
-    Sum components transition by the transitions of their summands."""
+def d_transitions(t: Term) -> frozenset[tuple[Action, Residual]]:
+    """Distributed transitions of a ground canonical term.  A prefix fires
+    with concurrent residual 0; parallel contexts join the concurrent part;
+    synchronisation pairs both local and both concurrent parts.  Sum
+    components transition by the transitions of their summands."""
     match t:
         case Nil():
             return frozenset()
         case Var():
             raise ValueError("transitions undefined on open terms")
         case Act(prefix=p, cont=c):
-            return frozenset(((p, c),))
+            return frozenset(((p, (c, NIL)),))
         case Sum(parts=ps):
-            out: set[tuple[Action, Term]] = set()
-            for p in ps:
-                out |= transitions(p)
+            out: set[tuple[Action, Residual]] = set()
+            for s in ps:
+                out |= d_transitions(s)
             return frozenset(out)
         case Par(parts=ps):
             out = set()
-            part_ts = [transitions(p) for p in ps]
+            part_ts = [d_transitions(p) for p in ps]
             for i, ts in enumerate(part_ts):
                 rest = ps[:i] + ps[i + 1 :]
-                for a, tgt in ts:
-                    out.add((a, Par(rest + (tgt,))))
+                for a, (loc, con) in ts:
+                    out.add((a, (loc, Par(rest + (con,)))))
             for i in range(len(ps)):
                 for j in range(i + 1, len(ps)):
                     rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
-                    for a1, t1 in part_ts[i]:
+                    for a1, (l1, c1) in part_ts[i]:
                         if isinstance(a1, Tau):
                             continue
                         comp = a1.complement()
-                        for a2, t2 in part_ts[j]:
+                        for a2, (l2, c2) in part_ts[j]:
                             if a2 == comp:
-                                out.add((TAU, Par(rest + (t1, t2))))
+                                out.add((TAU, (Par((l1, l2)), Par(rest + (c1, c2)))))
             return frozenset(out)
     raise TypeError(f"not a term: {t!r}")
+
+
+@lru_cache(maxsize=None)
+def transitions(t: Term) -> frozenset[tuple[Action, Term]]:
+    """One-step interleaving transitions of a ground canonical term: the
+    distributed ones with local and concurrent residual rejoined."""
+    return frozenset((a, Par((loc, con))) for a, (loc, con) in d_transitions(t))
 
 
 @dataclass(frozen=True)
@@ -106,30 +122,27 @@ def _default_sig(s: Term, block: dict) -> Hashable:
     return frozenset((action_key(a), block[t]) for a, t in transitions(s))
 
 
-def refine_once(states: list, block: dict, sig_fn: SigFn = _default_sig) -> dict:
-    """One refinement round: split blocks by (current block, signature)."""
-    ids: dict = {}
-    new: dict = {}
-    for s in states:
-        k = (block[s], sig_fn(s, block))
-        if k not in ids:
-            ids[k] = len(ids)
-        new[s] = ids[k]
-    return new
-
-
-def refine_partition(states: Iterable[Term], sig_fn: SigFn = _default_sig) -> dict:
-    """Greatest fixpoint of signature refinement over a transition-closed
-    state set; equal block ids mean bisimilar."""
+def refine_partition(
+    states: Iterable[Term],
+    sig_fn: SigFn = _default_sig,
+    stop: Callable[[dict], bool] | None = None,
+) -> dict:
+    """Kanellakis-Smolka signature refinement over a transition-closed state
+    set: each round splits blocks by (current block, signature).  Returns the
+    greatest fixpoint, where equal block ids mean bisimilar, or the partition
+    of the first round for which stop(block) holds."""
     ordered = sorted(states, key=sort_key)
     block = {s: 0 for s in ordered}
     nblocks = 1
     while True:
-        block = refine_once(ordered, block, sig_fn)
-        n = max(block.values(), default=-1) + 1
-        if n == nblocks:
+        ids: dict = {}
+        new: dict = {}
+        for s in ordered:
+            new[s] = ids.setdefault((block[s], sig_fn(s, block)), len(ids))
+        block = new
+        if (stop is not None and stop(block)) or len(ids) == nblocks:
             return block
-        nblocks = n
+        nblocks = len(ids)
 
 
 def bisimulation_blocks(roots: Iterable[Term]) -> dict:
@@ -138,7 +151,8 @@ def bisimulation_blocks(roots: Iterable[Term]) -> dict:
 
 def bisimilar_oracle(p: Term, q: Term) -> bool:
     """Strong bisimilarity by partition refinement over the joint reachable
-    state space.  Independent of the normal-form route."""
+    state space.  Independent of the normal-form route; with guarded sums it
+    uses the sum transition rule."""
     block = bisimulation_blocks([p, q])
     return block[p] == block[q]
 
@@ -148,16 +162,12 @@ def distinguishing_depth(p: Term, q: Term) -> int | None:
     or None if they are bisimilar."""
     if p == q:
         return None
-    states = sorted(reachable_states([p, q]), key=sort_key)
-    block = {s: 0 for s in states}
-    nblocks = 1
-    depth = 0
-    while True:
-        depth += 1
-        block = refine_once(states, block)
-        if block[p] != block[q]:
-            return depth
-        n = max(block.values()) + 1
-        if n == nblocks:
-            return None
-        nblocks = n
+    rounds = 0
+
+    def split(block: dict) -> bool:
+        nonlocal rounds
+        rounds += 1
+        return block[p] != block[q]
+
+    block = refine_partition(reachable_states([p, q]), stop=split)
+    return rounds if block[p] != block[q] else None

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .distributed import strong_bisim_plus
 from .generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
-from .lts import Tau, transitions
-from .rewrite import decide_bisim
+from .lts import Tau, bisimilar_oracle, transitions
+from .rewrite import decide_bisim, normalize
 from .terms import NIL, Act, Par, Prefix, Sum, Term, sort_key, substitute
 
 Equivalence = Callable[[Term, Term], bool]
@@ -27,7 +26,7 @@ def _default_equiv(calculus: str) -> Equivalence:
     if calculus == "ccs":
         return decide_bisim
     if calculus == "ccs+":
-        return strong_bisim_plus
+        return bisimilar_oracle
     raise ValueError(f"unknown calculus: {calculus}")
 
 
@@ -61,33 +60,29 @@ def check_md(w: MdWitness, *, equivalence: Equivalence | None = None) -> bool:
     return equiv(left, right)
 
 
-def search_md_parallel_shape(
-    size_bound: int,
-    names: tuple[str, ...],
-    *,
-    equivalence: Equivalence | None = None,
-) -> MdWitness | None:
+def search_md_parallel_shape(size_bound: int, names: tuple[str, ...]) -> MdWitness | None:
     """Exhaustive search for a sum-free mirrored dependency with per-component
     size bound.  The parallel context r is fixed to 0: normal forms compose
     componentwise under parallel, so the two sides are bisimilar with some r
-    iff they are bisimilar with r = 0 (cancellation).
+    iff they are bisimilar with r = 0 (cancellation).  The same property lets
+    each component be normalized once, before the pair loop; the two sides
+    are bisimilar iff nf(eta2.s) | nf(t1) is nf(s1) | nf(eta1.t).
     """
-    equiv = equivalence or decide_bisim
     pool = ccs_terms_upto(size_bound, prefix_alphabet(names))
     moves: list[tuple[Prefix, Term, Term]] = []
     for s in pool:
         visible = [(a, s1) for a, s1 in transitions(s) if not isinstance(a, Tau)]
         for a, s1 in sorted(visible, key=lambda e: (e[0], sort_key(e[1]))):
             moves.append((a, s, s1))
+    nf = {s1: normalize(s1) for _, _, s1 in moves}
+    labels = {a for a, _, _ in moves}
+    nf_act = {(a, s): normalize(Act(a, s)) for a in labels for s in pool}
     for eta1, s, s1 in moves:
         for eta2, t, t1 in moves:
             if eta1 == eta2:
                 continue
-            w = MdWitness(eta1, eta2, s, s1, t, t1, NIL)
-            left = Par((Act(eta2, s), t1))
-            right = Par((s1, Act(eta1, t)))
-            if equiv(left, right):
-                return w
+            if Par((nf_act[eta2, s], nf[t1])) is Par((nf[s1], nf_act[eta1, t])):
+                return MdWitness(eta1, eta2, s, s1, t, t1, NIL)
     return None
 
 
@@ -185,16 +180,11 @@ def _strip(lt) -> Term:
             return NIL
 
 
-def diagram_md_at(
-    calculus: str,
-    q: Term,
-    *,
-    equivalence: Equivalence | None = None,
-) -> DiagramMdWitness | None:
+def diagram_md_at(calculus: str, q: Term) -> DiagramMdWitness | None:
     """Whether q itself admits a diagram-shape MD: two-step firings
     q -eta1-> . -eta2-> and q -eta2-> . -eta1->, each second prefix occurring
     syntactically under the first fired prefix, with equivalent end states."""
-    equiv = equivalence or _default_equiv(calculus)
+    equiv = _default_equiv(calculus)
     lt = _label_term(q, [0])
     under: dict[int, frozenset[int]] = {}
     _under_map(lt, under)
@@ -213,11 +203,7 @@ def diagram_md_at(
 
 
 def search_md_diagram(
-    calculus: str,
-    size_bound: int,
-    names: tuple[str, ...],
-    *,
-    equivalence: Equivalence | None = None,
+    calculus: str, size_bound: int, names: tuple[str, ...]
 ) -> DiagramMdWitness | None:
     """First term (smallest first) within the bound admitting a diagram MD."""
     alphabet = prefix_alphabet(names)
@@ -227,7 +213,7 @@ def search_md_diagram(
         else ccs_plus_terms_upto(size_bound, alphabet)
     )
     for q in pool:
-        w = diagram_md_at(calculus, q, equivalence=equivalence)
+        w = diagram_md_at(calculus, q)
         if w is not None:
             return w
     return None
@@ -244,7 +230,7 @@ def check_substitution_closure(
     from .distributed import dsim
 
     if equivalence == "strong":
-        equiv: Equivalence = strong_bisim_plus
+        equiv: Equivalence = bisimilar_oracle
     elif equivalence == "distributed":
         equiv = dsim
     else:

@@ -259,7 +259,10 @@ def close_binder(t: PiTerm, name: str) -> PiTerm:
 
 def pi_substitute(t: PiTerm, sigma: Mapping[str, str]) -> PiTerm:
     """Apply a free-name substitution; capture is impossible since bound
-    names are positional.  Result canonical (components may reorder)."""
+    names are positional.  Result canonical (components may reorder); t
+    itself when sigma moves none of its free names."""
+    if all(sigma.get(n, n) == n for n in free_names(t)):
+        return t
 
     def fn(r: NameRef, d: int) -> NameRef:
         if isinstance(r, FreeName) and r.name in sigma:

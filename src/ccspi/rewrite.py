@@ -108,14 +108,9 @@ def normalize_steps(t: Term) -> tuple[Term, int]:
 
 @lru_cache(maxsize=None)
 def normalize(t: Term) -> Term:
-    """The unique normal form of a (possibly open) sum-free term."""
+    """The unique normal form of a (possibly open) sum-free term.  Variables
+    never head a redex but may appear inside matched continuations."""
     return normalize_steps(t)[0]
-
-
-def normalize_open(t: Term) -> Term:
-    """Alias of normalize making the open-term use explicit: variables never
-    head a redex but may appear inside matched continuations."""
-    return normalize(t)
 
 
 def decide_bisim(p: Term, q: Term) -> bool:
@@ -140,7 +135,7 @@ def is_prime(p: Term) -> bool:
     return len(prime_decompose(p)) == 1
 
 
-def is_prime_bruteforce(p: Term, *, size_bound: int = 6, equivalence=None) -> bool:
+def is_prime_bruteforce(p: Term, *, size_bound: int = 6) -> bool:
     """Primality via the definition: p is prime iff p is not bisimilar to 0
     and every split p ~ q | r has a trivial side.  Candidate q, r range over
     terms built from p's own prefixes with sizes summing to size(p); that is
@@ -151,7 +146,6 @@ def is_prime_bruteforce(p: Term, *, size_bound: int = 6, equivalence=None) -> bo
 
     if not is_ground(p):
         raise ValueError("prime decomposition undefined on open terms")
-    equiv = equivalence if equivalence is not None else bisimilar_oracle
     n = size(p)
     if n > size_bound:
         raise ValueError("brute-force bound exceeded")
@@ -161,7 +155,7 @@ def is_prime_bruteforce(p: Term, *, size_bound: int = 6, equivalence=None) -> bo
     for k in range(1, n // 2 + 1):
         for q in ccs_terms_of_size(k, alphabet):
             for r in ccs_terms_of_size(n - k, alphabet):
-                if equiv(p, Par((q, r))):
+                if bisimilar_oracle(p, Par((q, r))):
                     return False
     return True
 

@@ -12,7 +12,6 @@ from ccspi.rewrite import (
     is_prime,
     is_prime_bruteforce,
     normalize,
-    normalize_open,
     normalize_steps,
     prime_decompose,
     rewrite_candidates,
@@ -76,13 +75,19 @@ def test_normalize_fixed_points():
 
 def test_normalize_open_redex():
     # the law fires with a variable continuation: a.(X | a.X) = a.X | a.X
-    assert normalize_open(parse_ccs("a.(X | a.X)")) == parse_ccs("a.X | a.X")
-    assert normalize_open(Var("X")) == Var("X")
+    assert normalize(parse_ccs("a.(X | a.X)")) == parse_ccs("a.X | a.X")
+    assert normalize(Var("X")) == Var("X")
 
 
 @given(term_st(with_vars=True))
 def test_normalize_idempotent(t):
     assert normalize(normalize(t)) == normalize(t)
+
+
+@given(term_st(with_vars=True), term_st(with_vars=True))
+def test_normalize_is_componentwise(p, q):
+    # the parallel-shape MD search compares per-component normal forms
+    assert normalize(Par((p, q))) is Par((normalize(p), normalize(q)))
 
 
 @given(term_st(with_vars=True))
@@ -158,4 +163,4 @@ def test_normalization_commutes_with_instantiation(t):
     vs = sorted(variables(t))
     supply = fresh_names(names(t), len(vs))
     inst = {v: Act(Prefix(n), NIL) for v, n in zip(vs, supply)}
-    assert instantiate(normalize_open(t), inst) == normalize(instantiate(t, inst))
+    assert instantiate(normalize(t), inst) == normalize(instantiate(t, inst))
