@@ -5,11 +5,16 @@ suite passed), 1 when it does not, 2 on usage, parse or input errors
 (input nested too deeply for the recursive walks included).  The bisim
 --method both route runs the normal-form decision and the oracle side by
 side and treats any divergence as a hard error.
+
+The argument parser is built once per process, by the first `main` call,
+and shared by every later one; `main` still parses each argv into a fresh
+namespace, so no value carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -266,7 +271,10 @@ def cmd_enumerate(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ccspi argument parser.  One object per process: it holds no
+    per-call state, so every `main` call can parse with it."""
     parser = argparse.ArgumentParser(
         prog="ccspi",
         description="Process-calculus equivalence toolkit: normal forms, "

@@ -9,34 +9,34 @@ unlike strong bisimilarity, is closed under name substitutions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .lts import d_transitions, refine_partition
 from .terms import Term
 
 
-def d_reachable(roots: Iterable[Term]) -> set[Term]:
-    """Closure of the roots under both residual components."""
-    seen: set[Term] = set()
+def d_reachable(roots: Iterable[Term]) -> dict[Term, frozenset]:
+    """Closure of the roots under both residual components, as the table
+    {state: d_transitions(state)} of every reachable state."""
+    steps: dict[Term, frozenset] = {}
     todo = list(roots)
     while todo:
         s = todo.pop()
-        if s in seen:
+        if s in steps:
             continue
-        seen.add(s)
-        for _, (loc, con) in d_transitions(s):
-            if loc not in seen:
+        steps[s] = out = d_transitions(s)
+        for _, (loc, con) in out:
+            if loc not in steps:
                 todo.append(loc)
-            if con not in seen:
+            if con not in steps:
                 todo.append(con)
-    return seen
+    return steps
 
 
-def dsim_blocks(states: Iterable[Term]) -> dict:
-    """Partition refinement with pair signatures: both residual components
-    must land in matching blocks.  The states' distributed transitions are
-    tabled for this refinement only."""
-    steps = {s: d_transitions(s) for s in states}
+def dsim_blocks(steps: Mapping[Term, frozenset]) -> dict:
+    """Partition refinement with pair signatures over a transition table
+    closed under both residuals, such as `d_reachable` returns: both
+    residual components must land in matching blocks."""
     return refine_partition(
         steps,
         lambda s, block: frozenset((a, block[loc], block[con]) for a, (loc, con) in steps[s]),

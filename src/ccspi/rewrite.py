@@ -5,6 +5,10 @@ A redex is a subterm of shape eta.(P | (eta.P)^k) with k >= 1; it rewrites
 to (eta.P)^(k+1).  The rewrite system terminates (the summed nesting depth
 of prefixes strictly decreases) and is confluent, so normal forms are
 unique; two ground terms are bisimilar iff their normal forms are equal.
+
+`normalize_steps` computes normal forms in one bottom-up pass: each node is
+visited once, after its children are normal, and contracts at most once.
+`rewrite_step` is the small-step reference it is tested against.
 """
 
 from __future__ import annotations
@@ -36,20 +40,21 @@ from .terms import (
 
 def _redex_contractions(prefix: Prefix, cont: Term) -> list[Term]:
     """All ways the node prefix.cont matches eta.(P | (eta.P)^k), each giving
-    the contractum (eta.P)^(k+1).  Ordered by (component, k) for determinism."""
-    comps = parallel_components(cont)
-    counts = Counter(comps)
+    the contractum (eta.P)^(k+1).  Ordered by component for determinism.
+
+    A candidate component e = eta.P fixes k: cont's components are P's plus
+    k copies of e, so k = counts[e] - need[e] where need counts P's
+    components, and every other count must agree exactly."""
+    counts = Counter(parallel_components(cont))
     out: list[Term] = []
     for e in sorted(counts, key=sort_key):
         if not (isinstance(e, Act) and e.prefix == prefix):
             continue
-        for k in range(1, counts[e] + 1):
-            remainder: list[Term] = []
-            for c, m in counts.items():
-                m_left = m - k if c == e else m
-                remainder.extend([c] * m_left)
-            if Par(remainder) == e.cont:
-                out.append(Par([e] * (k + 1)))
+        need = Counter(parallel_components(e.cont))
+        k = counts[e] - need[e]
+        need[e] = counts[e]
+        if k >= 1 and need == counts:
+            out.append(Par([e] * (k + 1)))
     return out
 
 
@@ -97,13 +102,34 @@ def rewrite_candidates(t: Term) -> frozenset[Term]:
 
 
 def normalize_steps(t: Term) -> tuple[Term, int]:
-    steps = 0
-    while True:
-        r = rewrite_step(t)
-        if r is None:
-            return t, steps
-        t = r
-        steps += 1
+    """The normal form of t and the number of steps innermost-leftmost
+    rewriting (iterating `rewrite_step`) takes to reach it.
+
+    One bottom-up pass: a Par normalizes part by part and adds their step
+    counts; an Act normalizes its continuation, then tries one contraction
+    at its own node.  A contractum (eta.P)^(k+1) built from a normal
+    continuation is already normal, so no node is visited twice.  Confluence
+    makes the normal form the same as rewrite_step's.  The count is the
+    same too: rewrite_step also normalizes a continuation before it
+    contracts the node above, and parallel parts never interact, so each
+    part takes the same steps whatever order the parts are rewritten in."""
+
+    def go(u: Term) -> tuple[Term, int]:
+        match u:
+            case Nil() | Var():
+                return u, 0
+            case Sum():
+                raise ValueError("the distribution law applies to sum-free terms only")
+            case Act(prefix=p, cont=c):
+                nc, steps = go(c)
+                contracta = _redex_contractions(p, nc)
+                return (contracta[0], steps + 1) if contracta else (Act(p, nc), steps)
+            case Par(parts=ps):
+                done = [go(part) for part in ps]
+                return Par(nf for nf, _ in done), sum(steps for _, steps in done)
+        raise TypeError(f"not a term: {u!r}")
+
+    return go(t)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ccspi.cli import main
+from ccspi.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -89,6 +89,30 @@ def test_dsim_alias(capsys):
     assert "not distributed bisimilar" in out
     code, _, _ = run(capsys, "dsim", "a.0 | b.0", "b.0 | a.0")
     assert code == 0
+
+
+def test_parser_is_shared_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+
+    def bisim_json():
+        code, out, _ = run(capsys, "bisim", "a.a.0", "a.0 | a.0", "--format", "json")
+        doc = json.loads(out)
+        return code, doc["verdict"], doc["payload"]
+
+    assert run(capsys, "dsim", "a.0 | b.0", "b.0 | a.0")[0] == 0
+    first = bisim_json()
+    assert first == (0, "strong bisimilar", {"method_norm": True, "method_oracle": True})
+    code, out, _ = run(
+        capsys, "bisim", "a(x).0 | a(y).0", "a(x).a(y).0", "--calculus", "pi", "--style", "late"
+    )
+    assert code == 0 and "verdict: late bisimilar" in out
+    code, _, err = run(capsys, "bisim", "a.0", "a.0", "--style", "late")
+    assert code == 2 and err.startswith("usage error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["bisim", "a.0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert bisim_json() == first
 
 
 def test_prime(capsys):

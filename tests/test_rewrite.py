@@ -1,12 +1,15 @@
 """The distribution-law rewrite system and the normal-form decision
 procedure, cross-checked against the partition-refinement oracle."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccspi.lts import bisimilar_oracle
 from ccspi.rewrite import (
+    _redex_contractions,
     decide_bisim,
     decide_extensional,
     is_prime,
@@ -26,6 +29,8 @@ from ccspi.terms import (
     Sum,
     Var,
     instantiate,
+    parallel_components,
+    sort_key,
     weight,
 )
 
@@ -65,6 +70,63 @@ def test_normalize_ladder():
     nf, steps = normalize_steps(parse_ccs("a.(b.0 | a.b.0)"))
     assert nf == parse_ccs("a.b.0 | a.b.0")
     assert steps == 1
+
+
+def rewrite_to_fixpoint(t):
+    steps = 0
+    while (r := rewrite_step(t)) is not None:
+        t, steps = r, steps + 1
+    return t, steps
+
+
+def test_normalize_steps_matches_small_steps_exhaustively():
+    from ccspi.generate import ccs_terms_upto, prefix_alphabet
+
+    for t in ccs_terms_upto(5, prefix_alphabet(("a", "b"))):
+        assert normalize_steps(t) == rewrite_to_fixpoint(t), t
+
+
+@given(term_st(with_vars=True))
+def test_normalize_steps_matches_small_steps(t):
+    assert normalize_steps(t) == rewrite_to_fixpoint(t)
+
+
+def test_normalize_steps_on_prefix_chains():
+    a0 = parse_ccs("a.0")
+    chain = NIL
+    for n in range(1, 41):
+        chain = Act(Prefix("a"), chain)
+        assert normalize_steps(chain) == rewrite_to_fixpoint(chain) == (Par([a0] * n), n - 1)
+
+
+def contractions_by_every_k(prefix, cont):
+    comps = parallel_components(cont)
+    counts = Counter(comps)
+    out = []
+    for e in sorted(counts, key=sort_key):
+        if not (isinstance(e, Act) and e.prefix == prefix):
+            continue
+        for k in range(1, counts[e] + 1):
+            rest = list(comps)
+            for _ in range(k):
+                rest.remove(e)
+            if Par(rest) is e.cont:
+                out.append(Par([e] * (k + 1)))
+    return out
+
+
+def test_redex_contractions_match_every_k_exhaustively():
+    from ccspi.generate import ccs_terms_upto, prefix_alphabet
+
+    alphabet = prefix_alphabet(("a", "b"))
+    for cont in ccs_terms_upto(4, alphabet):
+        for eta in alphabet:
+            assert _redex_contractions(eta, cont) == contractions_by_every_k(eta, cont)
+
+
+@given(st.builds(Prefix, st.sampled_from("ab"), st.booleans()), term_st(with_vars=True))
+def test_redex_contractions_match_every_k(eta, cont):
+    assert _redex_contractions(eta, cont) == contractions_by_every_k(eta, cont)
 
 
 def test_normalize_fixed_points():
