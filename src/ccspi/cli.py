@@ -124,6 +124,8 @@ def cmd_bisim(args) -> int:
         ground = is_ground(p) and is_ground(q)
         if method in ("oracle", "both") and not ground:
             raise UsageError("the oracle needs ground terms; use --method norm for open ones")
+        if args.depth and not ground:
+            raise UsageError("--depth needs ground terms: open terms have no transitions")
         if method in ("norm", "both"):
             by_norm = decide_bisim(p, q)
             payload["method_norm"] = by_norm

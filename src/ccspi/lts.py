@@ -9,16 +9,21 @@ strong and distributed relations cannot drift apart.
 
 The transition relation consumes one prefix per visible step and two per
 synchronisation, so every transition strictly decreases term size: reachable
-state spaces are finite DAGs.
+state spaces are finite DAGs.  That is why bisimilarity needs no iterated
+refinement here.  Two states are bisimilar exactly when their sets of
+(action, successor class) pairs agree, and every successor is smaller, so
+one pass in ascending size decides each state's class from classes that are
+already final (the rank-based view of Dovier, Piazza and Policriti, "An
+efficient algorithm for computing bisimulation equivalence", TCS 2004).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
-from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, sort_key
+from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, size
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ def reachable_lts(t: Term) -> Lts:
 # --------------------------------------------------------------------------
 # partition refinement
 
-SigFn = Callable[[Term, dict], Hashable]
+SigFn = Callable[[Any, dict], Hashable]
 
 
 def _default_sig(s: Term, block: dict) -> Hashable:
@@ -123,26 +128,27 @@ def _default_sig(s: Term, block: dict) -> Hashable:
 
 
 def refine_partition(
-    states: Iterable[Term],
-    sig_fn: SigFn = _default_sig,
-    stop: Callable[[dict], bool] | None = None,
+    states: Iterable, sig_fn: SigFn = _default_sig, rank: Callable[[Any], int] = size
 ) -> dict:
-    """Kanellakis-Smolka signature refinement over a transition-closed state
-    set: each round splits blocks by (current block, signature).  Returns the
-    greatest fixpoint, where equal block ids mean bisimilar, or the partition
-    of the first round for which stop(block) holds."""
-    ordered = sorted(states, key=sort_key)
-    block = {s: 0 for s in ordered}
-    nblocks = 1
-    while True:
-        ids: dict = {}
-        new: dict = {}
-        for s in ordered:
-            new[s] = ids.setdefault((block[s], sig_fn(s, block)), len(ids))
-        block = new
-        if (stop is not None and stop(block)) or len(ids) == nblocks:
-            return block
-        nblocks = len(ids)
+    """Bisimilarity classes of a transition-closed state set in one pass.
+
+    Every step must strictly lower rank(state).  States are visited in
+    ascending rank, a rank at a time, and each gets the block id of its
+    signature, which reads only the blocks of lower-ranked states, already
+    final.  Equal block ids mean bisimilar.  A signature that reads a state
+    of equal or higher rank raises KeyError: the state set is then not well
+    founded under rank."""
+    levels: dict[int, list] = {}
+    for s in states:
+        levels.setdefault(rank(s), []).append(s)
+    block: dict = {}
+    ids: dict = {}
+    for r in sorted(levels):
+        level = levels[r]
+        sigs = [sig_fn(s, block) for s in level]
+        for s, sig in zip(level, sigs):
+            block[s] = ids.setdefault(sig, len(ids))
+    return block
 
 
 def bisimulation_blocks(roots: Iterable[Term]) -> dict:
@@ -159,15 +165,20 @@ def bisimilar_oracle(p: Term, q: Term) -> bool:
 
 def distinguishing_depth(p: Term, q: Term) -> int | None:
     """Least number of bisimulation-game rounds distinguishing p and q,
-    or None if they are bisimilar."""
+    or None if they are bisimilar: the first Kanellakis-Smolka round, each
+    splitting states by their signature over the previous round's blocks,
+    that separates them."""
     if p == q:
         return None
+    states = reachable_states([p, q])
+    block = dict.fromkeys(states, 0)
+    n_blocks = 1
     rounds = 0
-
-    def split(block: dict) -> bool:
-        nonlocal rounds
+    while block[p] == block[q]:
+        ids: dict = {}
+        block = {s: ids.setdefault(_default_sig(s, block), len(ids)) for s in states}
         rounds += 1
-        return block[p] != block[q]
-
-    block = refine_partition(reachable_states([p, q]), stop=split)
-    return rounds if block[p] != block[q] else None
+        if len(ids) == n_blocks:
+            return None
+        n_blocks = len(ids)
+    return rounds

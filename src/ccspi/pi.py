@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Mapping
 
+from .lts import refine_partition
 from .terms import Node
 
 
@@ -381,8 +382,9 @@ _BISIM_MEMO: dict[tuple[PiTerm, PiTerm, str], bool] = {}
 
 
 def clear_bisim_memo() -> None:
-    """Drop the shared game cache; long enumeration runs call this between
-    batches to bound memory."""
+    """Drop the shared game cache.  It grows with every game played; the pi
+    suites call this once, when they finish, so a suite leaves no positions
+    behind for the next one."""
     _BISIM_MEMO.clear()
 
 
@@ -474,6 +476,64 @@ def early_bisim(p: PiTerm, q: PiTerm) -> bool:
     """Strong early bisimilarity: the responder may pick a continuation per
     instantiation name."""
     return _pi_bisim(p, q, "early")
+
+
+# --------------------------------------------------------------------------
+# equivalence classes by one refinement
+
+PiState = tuple[PiTerm, int]
+
+
+def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[PiState, int]:
+    """Ground, late or early bisimilarity classes of closed terms whose free
+    names lie in `frees`, as block ids of the states (t, 0) for t in roots.
+
+    A state (t, d) counts the binders d opened on the way to t: the free
+    names of t lie in frees and #0..#d-1, so #d is fresh for it.  Free
+    outputs and taus keep d; bound outputs, and ground-mode inputs, open the
+    binder with #d at level d + 1.  Late and early inputs open it with every
+    name of frees and #0..#d, and only #d raises the level: a name free in
+    neither of two states acts as the fresh one does (equivariance), so these
+    cover every instantiation the games try.  A late input contributes one
+    tuple of blocks, one per name, for each residual; an early input one
+    (label, name, block) per name.  Every step consumes a prefix, so one
+    `refine_partition` pass ranked by `pi_size` decides every class."""
+    if mode not in ("ground", "late", "early"):
+        raise ValueError(f"unknown mode {mode!r}")
+    allowed = frozenset(frees)
+    frees = sorted(allowed)
+    moves: dict[PiState, list[tuple]] = {}
+    todo: list[PiState] = []
+    for t in roots:
+        if not free_names(t) <= allowed or dangling(t):
+            raise ValueError(f"not a closed term over {frees}: {t!r}")
+        todo.append((t, 0))
+    while todo:
+        state = todo.pop()
+        if state in moves:
+            continue
+        t, d = state
+        fresh = f"#{d}"
+        out: list[tuple] = []
+        for a, res in late_transitions(t):
+            if isinstance(a, (FreeOutAct, PiTauAct)):
+                out.append((a, ((res, d),)))
+            elif isinstance(a, BoundOutAct) or mode == "ground":
+                out.append((a, ((open_binder(res, fresh), d + 1),)))
+            else:
+                names = frees + [f"#{k}" for k in range(d + 1)]
+                insts = tuple((open_binder(res, n), d + (n == fresh)) for n in names)
+                if mode == "late":
+                    out.append((a, insts))
+                else:
+                    out.extend(((a, n), (st,)) for n, st in zip(names, insts))
+        moves[state] = out
+        todo.extend(st for _, succ in out for st in succ if st not in moves)
+
+    def sig(state: PiState, block: dict) -> frozenset:
+        return frozenset((a, tuple(block[st] for st in succ)) for a, succ in moves[state])
+
+    return refine_partition(moves, sig, rank=lambda state: pi_size(state[0]))
 
 
 # --------------------------------------------------------------------------

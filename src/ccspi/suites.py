@@ -12,7 +12,6 @@ import inspect
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 from .distributed import d_reachable, dsim, dsim_blocks, perfect_matching
@@ -29,8 +28,6 @@ from .generate import (
 from .lts import bisimilar_oracle, refine_partition, transitions
 from .mirrored import diagram_md_at, search_md_diagram, search_md_parallel_shape
 from .pi import (
-    FreeOutAct,
-    PiTauAct,
     PiTerm,
     classify_transitions,
     clear_bisim_memo,
@@ -38,8 +35,7 @@ from .pi import (
     free_names,
     ground_bisim,
     late_bisim,
-    late_transitions,
-    pi_sort_key,
+    pi_blocks,
     pi_substitute,
 )
 from .rewrite import decide_bisim, normalize, prime_decompose, rewrite_candidates
@@ -466,21 +462,6 @@ def erasure_random(
 # 11. transfer, substitution closure, and mode coincidence over the pi universe
 
 
-@lru_cache(maxsize=None)
-def _coarse_key(t: PiTerm) -> frozenset:
-    """A key equal on bisimilar terms: free-output and tau residuals are
-    closed states whose matched partners must be bisimilar, so their keys
-    agree by induction; input and bound-output actions contribute the label
-    only (their residuals depend on the instantiation discipline)."""
-    parts = set()
-    for a, res in late_transitions(t):
-        if isinstance(a, (FreeOutAct, PiTauAct)):
-            parts.add((a, _coarse_key(res)))
-        else:
-            parts.add((a, None))
-    return frozenset(parts)
-
-
 def pi_congruence(
     max_prefixes: int = 3,
     max_nus: int = 1,
@@ -494,85 +475,72 @@ def pi_congruence(
     the free names, and the ground, late, and early verdicts coincide on all
     pairs.
 
-    Terms are grouped by a bisimilarity-invariant key, so pairs in different
-    groups are inequivalent in all three modes at once (their initial labels
-    cannot be matched); inside a group each mode's partition is built by
-    probing class representatives with the real game, and coincidence on all
-    pairs follows from the three partitions being identical.  Seeded samples
-    rerun the literal per-pair checks on top.
+    One `pi_blocks` refinement per mode gives every class, so the modes
+    coincide on all pairs exactly when the three partitions of the universe
+    are identical.  Substitution images of universe terms are universe
+    terms, so closure asks that each ground class's images share a ground
+    block.  The games stay the independent route: seeded random pairs must
+    get the refinement's verdict in all three modes, and sampled pairs of a
+    ground class must win the ground game and transfer to their erasures.
     """
     t0 = time.time()
     universe = pi_terms_upto(max_prefixes, max_nus, frees)
     ctx = ErasureContext(frees[0], frees[1])
     sigmas = all_substitutions(frees, frees)
-    buckets: dict[frozenset, list[PiTerm]] = {}
-    for t in universe:
-        buckets.setdefault(_coarse_key(t), []).append(t)
-
     failures: list[str] = []
     checked = 0
+
+    def classes(mode: str) -> tuple[dict, list[list[PiTerm]]]:
+        """The mode's blocks, and its classes listed in universe order, so
+        that two modes list identical partitions identically."""
+        block = pi_blocks(universe, frees, mode)
+        members: dict[int, list[PiTerm]] = {}
+        for t in universe:
+            members.setdefault(block[(t, 0)], []).append(t)
+        return block, list(members.values())
+
+    ground, ground_classes = classes("ground")
+    for mode in ("late", "early"):
+        mode_classes = classes(mode)[1]
+        if mode_classes != ground_classes:
+            failures.append(
+                f"{mode} and ground partitions disagree: "
+                f"{len(mode_classes)} and {len(ground_classes)} classes"
+            )
+
     bis_pairs = 0
     sample_pairs: list[tuple[PiTerm, PiTerm]] = []
-    n_classes = 0
-    for key in sorted(buckets, key=lambda k: len(buckets[k])):
-        members = buckets[key]
-        assignments: dict[str, list[int]] = {}
-        for mode, rel in (("ground", ground_bisim), ("late", late_bisim), ("early", early_bisim)):
-            reps: list[PiTerm] = []
-            assign: list[int] = []
-            for t in members:
-                for i, r in enumerate(reps):
-                    checked += 1
-                    if rel(t, r):
-                        assign.append(i)
-                        break
-                else:
-                    assign.append(len(reps))
-                    reps.append(t)
-            assignments[mode] = assign
-        if not (assignments["ground"] == assignments["late"] == assignments["early"]):
-            for t, g, l, e in zip(
-                members, assignments["ground"], assignments["late"], assignments["early"]
-            ):
-                if not (g == l == e):
-                    failures.append(f"mode partitions disagree near {print_pi(t)}")
-                    break
-        classes: dict[int, list[PiTerm]] = {}
-        for t, i in zip(members, assignments["ground"]):
-            classes.setdefault(i, []).append(t)
-        n_classes += len(classes)
-        for cls in classes.values():
-            bis_pairs += len(cls) * (len(cls) - 1) // 2
-            if len(cls) > 1 and len(sample_pairs) < pair_sample:
-                sample_pairs.extend(zip(cls, cls[1:]))
-            erased = {normalize(erase(t, ctx)) for t in cls}
+    for cls in ground_classes:
+        if len(cls) == 1:
+            continue
+        bis_pairs += len(cls) * (len(cls) - 1) // 2
+        if len(sample_pairs) < pair_sample:
+            sample_pairs.extend(zip(cls, cls[1:]))
+        erased = {normalize(erase(t, ctx)) for t in cls}
+        checked += len(cls)
+        if len(erased) > 1:
+            failures.append(
+                "erasures not bisimilar inside a ground class: "
+                + ", ".join(print_pi(t) for t in cls[:2])
+            )
+        for sg in sigmas:
+            images = {ground.get((pi_substitute(t, sg), 0)) for t in cls}
             checked += len(cls)
-            if len(erased) > 1:
-                failures.append(
-                    "erasures not bisimilar inside a ground class: "
-                    + ", ".join(print_pi(t) for t in cls[:2])
-                )
-            for sg in sigmas:
-                images = sorted({pi_substitute(t, sg) for t in cls}, key=pi_sort_key)
-                checked += len(images)
-                for img in images[1:]:
-                    if not ground_bisim(images[0], img):
-                        failures.append(
-                            f"substitution {sg} broke a ground class near {print_pi(cls[0])}"
-                        )
-                        break
-        clear_bisim_memo()
+            if len(images) > 1 or None in images:
+                failures.append(f"substitution {sg} broke a ground class near {print_pi(cls[0])}")
 
     rng = random.Random(seed)
     for _ in range(cross_sample):
         p, q = rng.choice(universe), rng.choice(universe)
-        g, l, e = ground_bisim(p, q), late_bisim(p, q), early_bisim(p, q)
+        same = ground[(p, 0)] == ground[(q, 0)]
         checked += 1
-        if not (g == l == e):
-            failures.append(f"modes disagree: {print_pi(p)} vs {print_pi(q)}")
+        if not (ground_bisim(p, q) == late_bisim(p, q) == early_bisim(p, q) == same):
+            failures.append(f"games and refinement disagree: {print_pi(p)} vs {print_pi(q)}")
     for p, q in sample_pairs[:pair_sample]:
         checked += 1
-        if not transfer_check(p, q, ctx):
+        if not ground_bisim(p, q):
+            failures.append(f"ground game refutes a ground class: {print_pi(p)} vs {print_pi(q)}")
+        elif not transfer_check(p, q, ctx):
             failures.append(f"transfer failed: {print_pi(p)} vs {print_pi(q)}")
     clear_bisim_memo()
     return SuiteReport(
@@ -581,7 +549,7 @@ def pi_congruence(
         elapsed=time.time() - t0,
         failures=failures[:10],
         notes=(
-            f"{len(universe)} terms, {len(buckets)} groups, {n_classes} ground classes, "
+            f"{len(universe)} terms, {len(ground_classes)} ground classes, "
             f"{bis_pairs} bisimilar pairs covered"
         ),
     )

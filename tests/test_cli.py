@@ -55,6 +55,12 @@ def test_bisim_depth_payload(capsys):
     assert "distinguishing_depth: 2" in out
 
 
+def test_bisim_depth_rejects_open_terms(capsys):
+    code, out, err = run(capsys, "bisim", "a.X", "b.X", "--method", "norm", "--depth")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: --depth needs ground terms")
+
+
 def test_bisim_open_terms_normal_form_route(capsys):
     code, out, _ = run(capsys, "bisim", "X | a.0", "a.0 | X", "--method", "norm")
     assert code == 0

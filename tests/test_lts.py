@@ -1,9 +1,13 @@
 """Interleaving semantics and the partition-refinement oracle."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ccspi.distributed import d_reachable, dsim_blocks
+from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
 from ccspi.lts import (
     TAU,
     Tau,
@@ -12,10 +16,19 @@ from ccspi.lts import (
     bisimulation_blocks,
     distinguishing_depth,
     reachable_lts,
+    reachable_states,
+    refine_partition,
     transitions,
 )
 from ccspi.syntax import parse_ccs, parse_ccs_plus
 from ccspi.terms import NIL, Act, Par, Prefix, Var, size
+from refinement_reference import ks_depth, ks_partition, same_partition
+
+AB = prefix_alphabet(("a", "b"))
+
+
+def strong_sig(s, block):
+    return frozenset((a, block[t]) for a, t in transitions(s))
 
 
 def term_st():
@@ -131,3 +144,52 @@ def test_distinguishing_depth():
 def test_depth_agrees_with_oracle(p, q):
     d = distinguishing_depth(p, q)
     assert (d is None) == bisimilar_oracle(p, q)
+
+
+# the one-pass engine against the Kanellakis-Smolka reference -----------------
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [ccs_terms_upto(4, AB), ccs_plus_terms_upto(3, AB)],
+    ids=["sum-free-size-4", "ccs-plus-size-3"],
+)
+def test_refine_partition_matches_reference(universe):
+    states = reachable_states(universe)
+    assert same_partition(refine_partition(states), ks_partition(states, strong_sig), states)
+
+
+def test_dsim_blocks_match_reference():
+    steps = d_reachable(ccs_plus_terms_upto(3, AB))
+
+    def pair_sig(s, block):
+        return frozenset((a, block[loc], block[con]) for a, (loc, con) in steps[s])
+
+    assert same_partition(dsim_blocks(steps), ks_partition(steps, pair_sig), steps)
+
+
+@given(st.lists(term_st(), min_size=1, max_size=4))
+def test_refine_partition_matches_reference_on_random_roots(roots):
+    states = reachable_states(roots)
+    assert same_partition(refine_partition(states), ks_partition(states, strong_sig), states)
+
+
+def test_distinguishing_depth_matches_reference():
+    universe = ccs_terms_upto(4, AB)
+    rng = random.Random(5)
+    for _ in range(300):
+        p, q = rng.choice(universe), rng.choice(universe)
+        expected = ks_depth(reachable_states([p, q]), strong_sig, p, q)
+        assert distinguishing_depth(p, q) == expected, (p, q)
+
+
+def test_refine_partition_rejects_a_state_space_that_is_not_well_founded():
+    cycle = {"x": "y", "y": "x"}
+    with pytest.raises(KeyError):
+        refine_partition(cycle, lambda s, block: block[cycle[s]], rank=len)
+    # the signature of the rank-1 state reads the rank-2 one
+    upward = {"x": "yy", "yy": None}
+    with pytest.raises(KeyError):
+        refine_partition(
+            upward, lambda s, block: upward[s] and block[upward[s]], rank=len
+        )
