@@ -184,12 +184,7 @@ def test_distinguishing_depth_matches_reference():
 
 
 def test_refine_partition_rejects_a_state_space_that_is_not_well_founded():
-    cycle = {"x": "y", "y": "x"}
-    with pytest.raises(KeyError):
-        refine_partition(cycle, lambda s, block: block[cycle[s]], rank=len)
-    # the signature of the rank-1 state reads the rank-2 one
-    upward = {"x": "yy", "yy": None}
-    with pytest.raises(KeyError):
-        refine_partition(
-            upward, lambda s, block: upward[s] and block[upward[s]], rank=len
-        )
+    # a cycle; a read within one rank, even of a state listed first; a read upward
+    for reads in ({"x": ["y"], "y": ["x"]}, {"y": [], "x": ["y"]}, {"x": ["yy"], "yy": []}):
+        with pytest.raises(KeyError):
+            refine_partition(reads, lambda s, block: tuple(block[t] for t in reads[s]), rank=len)
