@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import __version__
 from .distributed import dsim
@@ -48,7 +48,8 @@ class UsageError(Exception):
 
 def _emit(report: RunReport, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(asdict(report), indent=2, sort_keys=True))
+        # The fields as they are: `asdict` would deep-copy the payload first.
+        print(json.dumps(vars(report), indent=2, sort_keys=True))
         return
     for i, text in enumerate(report.inputs):
         print(f"input {i + 1}: {text}" if len(report.inputs) > 1 else f"input: {text}")

@@ -5,7 +5,8 @@ Binders are represented positionally (de Bruijn indices), so alpha-equivalent
 terms are literally equal and substitution is capture-avoiding by
 construction.  Free names stay as names.  Terms share the interned node core
 of `terms` with their own intern table, which likewise lives as long as the
-process: structurally equal terms are one object.  The constructors keep
+process: structurally equal terms are one object.  The name references
+`FreeName` and `BoundName` are interned records too.  The constructors keep
 terms canonical: parallel composition is a flattened sorted multiset without
 Nil components, and a restriction whose name never occurs is dropped.
 
@@ -24,17 +25,21 @@ from itertools import permutations
 from typing import Callable, Iterable, Mapping
 
 from .lts import refine_partition
-from .terms import Node
+from .terms import Node, Record
 
 
-@dataclass(frozen=True, order=True)
-class FreeName:
-    name: str
+class FreeName(Record):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str) -> FreeName:
+        return cls._make(name)
 
 
-@dataclass(frozen=True, order=True)
-class BoundName:
-    index: int
+class BoundName(Record):
+    __slots__ = _fields = ("index",)
+
+    def __new__(cls, index: int) -> BoundName:
+        return cls._make(index)
 
 
 NameRef = FreeName | BoundName

@@ -1,11 +1,17 @@
-"""Concrete syntax: tokenizer, recursive-descent parsers, deterministic
-printers, and a nested-object serialization for terms and transition graphs.
+"""Concrete syntax: tokenizer, parsers, deterministic printers, and a
+nested-object serialization for terms and transition graphs.
 
 Shared grammar conventions: names are lowercase identifiers, variables
 uppercase, 'a is the coaction of a; "." binds tighter than "+", which binds
 tighter than "|"; parentheses group; whitespace between tokens is ignored.
 Pi syntax: input a(x).P, output a<b>.P, restriction (nu p)P.  A trailing
 ".0" may be omitted on input but is always printed.
+
+A term is read in one linear pass.  `tokenize` is a single `re.finditer`
+scan that yields plain `(kind, text, start, end)` tuples; a `SourceSpan` is
+built only for a `ParseError`.  The parsers read `|`, `+` and prefix chains
+with loops: a chain is collected link by link and then folded from the
+inside out, so only parentheses recurse, and a chain of any length parses.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, sort_key
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Byte offsets into the (ASCII) input text."""
+    """Character offsets into the input text."""
 
     start: int
     end: int
@@ -49,153 +55,204 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+Token = tuple[str, str, int, int]  # kind, text, start, end
 
-
+# Whitespace matches no group, so finditer steps over it; any other
+# character that starts no token is caught by the last group.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<zero>0)|(?P<name>[a-z][a-z0-9_]*)|(?P<var>[A-Z][A-Za-z0-9_]*)"
+    r"(?P<zero>0)|(?P<name>[a-z][a-z0-9_]*)|(?P<var>[A-Z][A-Za-z0-9_]*)"
     r"|(?P<quote>')|(?P<dot>\.)|(?P<bar>\|)|(?P<plus>\+)"
-    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)"
+    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)|(?P<other>\S)"
 )
 
 
 def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1))
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), SourceSpan(m.start(), m.end())))
-        pos = m.end()
-    out.append(Token("eof", "", SourceSpan(len(text), len(text))))
-    return out
+    """The tokens of text, ending with an ("eof", "", n, n) token."""
+    toks = [(m.lastgroup, m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    for kind, chars, start, end in toks:
+        if kind == "other":
+            raise ParseError(f"unexpected character {chars!r}", SourceSpan(start, end))
+    toks.append(("eof", "", len(text), len(text)))
+    return toks
 
 
 def _describe(tok: Token) -> str:
-    return "end of input" if tok.kind == "eof" else repr(tok.text)
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
+
+
+def _unexpected(tok: Token, what: str) -> ParseError:
+    return ParseError(f"unexpected {_describe(tok)}", SourceSpan(tok[2], tok[3]), (what,))
+
+
+def _expect(toks: list[Token], pos: int, kind: str, what: str) -> str:
+    """The text of toks[pos], which must be of the given kind."""
+    tok = toks[pos]
+    if tok[0] != kind:
+        raise _unexpected(tok, what)
+    return tok[1]
 
 
 class _Parser:
+    """One parse over one token list; `pos` is the next token to read.  Every
+    loop stops at the final eof token, since no rule accepts it."""
+
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def take(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            tok = self.toks[self.pos]
-            self.pos += 1
-            return tok
-        return None
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.take(kind)
-        if tok is None:
-            got = self.peek()
-            raise ParseError(f"unexpected {_describe(got)}", got.span, expected=(what,))
-        return tok
-
     def done(self) -> None:
-        if self.peek().kind != "eof":
-            got = self.peek()
-            raise ParseError(f"unexpected {_describe(got)} after the term", got.span)
+        tok = self.toks[self.pos]
+        if tok[0] != "eof":
+            raise ParseError(
+                f"unexpected {_describe(tok)} after the term", SourceSpan(tok[2], tok[3])
+            )
 
     # CCS / CCS+ -----------------------------------------------------------
 
     def ccs_term(self, allow_sum: bool, allow_var: bool) -> Term:
-        parts = [self.ccs_sum(allow_sum, allow_var)]
-        while self.take("bar"):
-            parts.append(self.ccs_sum(allow_sum, allow_var))
-        return Par(parts)
-
-    def ccs_sum(self, allow_sum: bool, allow_var: bool) -> Term:
-        first_span = self.peek().span
-        first = self.ccs_pre(allow_sum, allow_var)
-        if self.peek().kind != "plus":
-            return first
-        if not allow_sum:
-            raise ParseError("sums are not part of this calculus", self.peek().span)
-        operands = [(first, first_span)]
-        while self.take("plus"):
-            span = self.peek().span
-            operands.append((self.ccs_pre(allow_sum, allow_var), span))
-        for t, span in operands:
-            if not isinstance(t, Act):
-                raise ParseError("summands must be prefixed", span)
-        return Sum(t for t, _ in operands)
-
-    def ccs_pre(self, allow_sum: bool, allow_var: bool) -> Term:
-        if self.peek().kind in ("quote", "name"):
-            co = self.take("quote") is not None
-            name = self.expect("name", "a name").text
-            cont = self.ccs_pre(allow_sum, allow_var) if self.take("dot") else NIL
-            return Act(Prefix(name, co), cont)
-        return self.ccs_atom(allow_sum, allow_var)
-
-    def ccs_atom(self, allow_sum: bool, allow_var: bool) -> Term:
-        tok = self.peek()
-        if tok.kind == "zero":
+        """chain ('+' chain)* ('|' chain ('+' chain)*)*"""
+        toks = self.toks
+        parts: list[Term] = []
+        summands: list[tuple[Term, int]] = []  # each with its first token
+        while True:
+            first = self.pos
+            t = self.ccs_chain(allow_sum, allow_var)
+            kind, _, start, end = toks[self.pos]
+            if kind == "plus":
+                if not allow_sum:
+                    raise ParseError("sums are not part of this calculus", SourceSpan(start, end))
+                summands.append((t, first))
+                self.pos += 1
+                continue
+            if summands:
+                summands.append((t, first))
+                for s, at in summands:
+                    if not isinstance(s, Act):
+                        tok = toks[at]
+                        raise ParseError("summands must be prefixed", SourceSpan(tok[2], tok[3]))
+                t = Sum(s for s, _ in summands)
+                summands = []
+            parts.append(t)
+            if kind != "bar":
+                return Par(parts)
             self.pos += 1
-            return NIL
-        if tok.kind == "var":
-            self.pos += 1
-            if not allow_var:
-                raise ParseError("variables are not part of this calculus", tok.span)
-            return Var(tok.text)
-        if tok.kind == "lpar":
-            self.pos += 1
-            t = self.ccs_term(allow_sum, allow_var)
-            self.expect("rpar", "')'")
-            return t
-        raise ParseError(f"unexpected {_describe(tok)}", tok.span, expected=("a term",))
+
+    def ccs_chain(self, allow_sum: bool, allow_var: bool) -> Term:
+        """('? name '.')* followed by a prefix without continuation, 0, a
+        variable or a parenthesized term."""
+        toks = self.toks
+        pos = self.pos
+        prefixes: list[Prefix] = []
+        while True:
+            kind, text, start, end = toks[pos]
+            if kind == "name" or kind == "quote":
+                co = kind == "quote"
+                if co:
+                    pos += 1
+                    text = _expect(toks, pos, "name", "a name")
+                prefixes.append(Prefix(text, co))
+                pos += 1
+                if toks[pos][0] == "dot":
+                    pos += 1
+                    continue
+                t = NIL
+            elif kind == "zero":
+                pos += 1
+                t = NIL
+            elif kind == "var":
+                if not allow_var:
+                    raise ParseError("variables are not part of this calculus", SourceSpan(start, end))
+                pos += 1
+                t = Var(text)
+            elif kind == "lpar":
+                self.pos = pos + 1
+                t = self.ccs_term(allow_sum, allow_var)
+                pos = self.pos
+                _expect(toks, pos, "rpar", "')'")
+                pos += 1
+            else:
+                raise _unexpected(toks[pos], "a term")
+            break
+        self.pos = pos
+        for p in reversed(prefixes):
+            t = Act(p, t)
+        return t
 
     # pi -------------------------------------------------------------------
 
     def pi_term(self, env: list[str]) -> PiTerm:
-        parts = [self.pi_pre(env)]
-        while self.take("bar"):
-            parts.append(self.pi_pre(env))
+        """chain ('|' chain)*; env holds the binder names in scope, innermost
+        first."""
+        parts = [self.pi_chain(env)]
+        while self.toks[self.pos][0] == "bar":
+            self.pos += 1
+            parts.append(self.pi_chain(env))
         return PiPar(parts)
 
-    def pi_pre(self, env: list[str]) -> PiTerm:
-        tok = self.peek()
-        if tok.kind == "name":
-            self.pos += 1
-            chan = _pi_ref(tok.text, env)
-            if self.take("lpar"):
-                binder = self.expect("name", "a binder name").text
-                self.expect("rpar", "')'")
-                return PiInput(chan, self.pi_cont([binder] + env))
-            if self.take("lt"):
-                payload = _pi_ref(self.expect("name", "a name").text, env)
-                self.expect("gt", "'>'")
-                return PiOutput(chan, payload, self.pi_cont(env))
-            raise ParseError("a bare name is not a pi term", tok.span, expected=("'('", "'<'"))
-        if tok.kind == "lpar":
-            if self.peek(1).kind == "name" and self.peek(1).text == "nu":
-                self.pos += 2
-                binder = self.expect("name", "a binder name").text
-                self.expect("rpar", "')'")
-                return PiNu(self.pi_pre([binder] + env))
-            self.pos += 1
-            t = self.pi_term(env)
-            self.expect("rpar", "')'")
-            return t
-        if tok.kind == "zero":
-            self.pos += 1
-            return PI_NIL
-        raise ParseError(f"unexpected {_describe(tok)}", tok.span, expected=("a term",))
-
-    def pi_cont(self, env: list[str]) -> PiTerm:
-        return self.pi_pre(env) if self.take("dot") else PI_NIL
+    def pi_chain(self, env: list[str]) -> PiTerm:
+        """Inputs, outputs and restrictions, each but a restriction followed
+        by '.' to continue, up to a prefix without continuation, 0 or a
+        parenthesized term.  The chain's binders join env while it is read
+        and leave it before the chain is folded."""
+        toks = self.toks
+        pos = self.pos
+        links: list[tuple] = []  # (chan,) input, (chan, payload) output, () restriction
+        binders = 0
+        while True:
+            kind, text, start, end = toks[pos]
+            if kind == "name":
+                chan = _pi_ref(text, env)
+                after = toks[pos + 1][0]
+                if after == "lpar":
+                    binder = _expect(toks, pos + 2, "name", "a binder name")
+                    _expect(toks, pos + 3, "rpar", "')'")
+                    links.append((chan,))
+                    env.insert(0, binder)
+                    binders += 1
+                elif after == "lt":
+                    payload = _pi_ref(_expect(toks, pos + 2, "name", "a name"), env)
+                    _expect(toks, pos + 3, "gt", "'>'")
+                    links.append((chan, payload))
+                else:
+                    raise ParseError(
+                        "a bare name is not a pi term", SourceSpan(start, end), ("'('", "'<'")
+                    )
+                pos += 4
+                if toks[pos][0] == "dot":
+                    pos += 1
+                    continue
+                t = PI_NIL
+            elif kind == "lpar":
+                after = toks[pos + 1]
+                if after[0] == "name" and after[1] == "nu":
+                    binder = _expect(toks, pos + 2, "name", "a binder name")
+                    _expect(toks, pos + 3, "rpar", "')'")
+                    links.append(())
+                    env.insert(0, binder)
+                    binders += 1
+                    pos += 4
+                    continue
+                self.pos = pos + 1
+                t = self.pi_term(env)
+                pos = self.pos
+                _expect(toks, pos, "rpar", "')'")
+                pos += 1
+            elif kind == "zero":
+                pos += 1
+                t = PI_NIL
+            else:
+                raise _unexpected(toks[pos], "a term")
+            break
+        self.pos = pos
+        del env[:binders]
+        for link in reversed(links):
+            if not link:
+                t = PiNu(t)
+            elif len(link) == 1:
+                t = PiInput(link[0], t)
+            else:
+                t = PiOutput(link[0], link[1], t)
+        return t
 
 
 def _pi_ref(name: str, env: list[str]) -> FreeName | BoundName:

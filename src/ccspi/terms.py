@@ -13,7 +13,8 @@ Structurally congruent terms are therefore the same object, and equality
 and hashing are the identity ones inherited from `object`.  The intern
 tables hold every node ever built and live as long as the process.  They
 are never cleared: a term held in some cache would otherwise get an
-unequal twin.
+unequal twin.  Action prefixes, and the name references of pi terms, are
+interned the same way (see `Record`).
 
 Open terms may contain process variables (written uppercase); these are
 opaque leaves that can stand in parallel contexts and under prefixes but
@@ -22,26 +23,11 @@ never head a transition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import product
 from typing import Iterable, Mapping
 
 Name = str  # channel names: lowercase identifiers, compared by equality
-
-
-@dataclass(frozen=True, order=True)
-class Prefix:
-    """An action prefix: a name with a polarity ('a denotes the coaction)."""
-
-    name: Name
-    co: bool = False
-
-    def complement(self) -> Prefix:
-        return Prefix(self.name, not self.co)
-
-    def __str__(self) -> str:
-        return ("'" if self.co else "") + self.name
 
 
 class Node:
@@ -82,6 +68,46 @@ class Node:
     def __repr__(self) -> str:
         args = ", ".join(repr(getattr(self, f)) for f in self._fields)
         return f"{type(self).__name__}({args})"
+
+
+@total_ordering
+class Record(Node):
+    """Base of the interned name records: `Prefix` here, `FreeName` and
+    `BoundName` in `pi`.  Like terms, equal records are one object, so they
+    compare and hash by identity and an intern key that holds one hashes in
+    C.  Unlike terms, records order by their field values and show their
+    fields by name."""
+
+    __slots__ = ()
+    _table = {}
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in self._fields:
+            mine, theirs = getattr(self, f), getattr(other, f)
+            if mine != theirs:
+                return mine < theirs
+        return False
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Prefix(Record):
+    """An action prefix: a name with a polarity ('a denotes the coaction)."""
+
+    __slots__ = _fields = ("name", "co")
+
+    def __new__(cls, name: Name, co: bool = False) -> Prefix:
+        return cls._make(name, co)
+
+    def complement(self) -> Prefix:
+        return Prefix(self.name, not self.co)
+
+    def __str__(self) -> str:
+        return ("'" if self.co else "") + self.name
 
 
 class Term(Node):

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, report payloads, error paths."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import ccspi
 from ccspi.cli import build_parser, main
 
 
@@ -119,6 +124,44 @@ def test_parser_is_shared_and_keeps_no_state(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert bisim_json() == first
+
+
+# Commands whose answers walk sets of interned nodes and name records.
+# These hash by identity, so set order follows memory addresses.
+SEED_INDEPENDENT = [
+    ["bisim", "a.b.0 | a.c.0", "a.(b.0 | c.0)", "--depth"],
+    ["prime", "a.(b.0 | b.0) | a.b.b.0 | c.0 | b.c.0 | 'a.0"],
+    ["erase", "(nu p)(b<p>.a(x).0) | a(y).b<y>.0", "a", "b"],
+    ["md-search", "--calculus", "ccs+", "--shape", "diagram", "--size", "4"],
+    ["bisim", "a(x).0 | a(y).0", "a(x).a(y).0", "--calculus", "pi", "--style", "late"],
+    [
+        "bisim",
+        "(nu p)(c<p>.p(y).y<a>.0) | b(z).z<c>.0",
+        "(nu p)(c<p>.p(y).y<a>.0 | b(z).z<c>.0)",
+        "--calculus",
+        "pi",
+        "--style",
+        "early",
+    ],
+]
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    script = (
+        "from ccspi.cli import main\n"
+        f"for argv in {SEED_INDEPENDENT!r}:\n"
+        "    print('exit', main(argv + ['--format', 'json']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ccspi.__file__))
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(re.sub(r'"elapsed": .*', "", done.stdout))
+    assert outputs[0].count("exit") == len(SEED_INDEPENDENT)
+    assert outputs[0] == outputs[1]
 
 
 def test_prime(capsys):

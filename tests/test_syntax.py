@@ -95,6 +95,55 @@ def test_parse_error_reporting():
     assert "')'" in " or ".join(exc.value.expected)
 
 
+# Each malformed input with the message, span and expected tokens of its
+# ParseError.  A character that starts no token is reported before any
+# parsing, wherever it sits.
+MALFORMED = [
+    ("ccs", "a.0 ; b.0", "unexpected character ';'", (4, 5), ()),
+    ("ccs", "a.(b.0 | c.\u00e9)", "unexpected character '\u00e9'", (11, 12), ()),
+    ("pi", "a(x).0 |\n  b<x>.0 $", "unexpected character '$'", (18, 19), ()),
+    ("ccs", "a.+ ;", "unexpected character ';'", (4, 5), ()),
+    ("ccs", "a.0 |", "unexpected end of input", (5, 5), ("a term",)),
+    ("ccs+", "a.(b.0 + c.0", "unexpected end of input", (12, 12), ("')'",)),
+    ("pi", "(nu p)(p(x).0", "unexpected end of input", (13, 13), ("')'",)),
+    ("pi", "a(x).b", "a bare name is not a pi term", (5, 6), ("'('", "'<'")),
+    ("ccs", "a.0 + b.0", "sums are not part of this calculus", (4, 5), ()),
+    ("ccs+", "a.X", "variables are not part of this calculus", (2, 3), ()),
+    ("ccs", "a.0 b.0", "unexpected 'b' after the term", (4, 5), ()),
+    ("pi", "a(x).0 )", "unexpected ')' after the term", (7, 8), ()),
+    ("ccs+", "a.0 + (b.0 | c.0)", "summands must be prefixed", (6, 7), ()),
+    ("ccs", "'(a.0)", "unexpected '('", (1, 2), ("a name",)),
+    ("pi", "a<b", "unexpected end of input", (3, 3), ("'>'",)),
+    ("pi", "(nu)0", "unexpected ')'", (3, 4), ("a binder name",)),
+]
+
+
+@pytest.mark.parametrize("calculus, text, message, span, expected", MALFORMED)
+def test_parse_error_message_span_and_expected(calculus, text, message, span, expected):
+    parse = {"ccs": parse_ccs, "ccs+": parse_ccs_plus, "pi": parse_pi}[calculus]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    err = exc.value
+    assert (err.message, (err.span.start, err.span.end), err.expected) == (message, span, expected)
+
+
+@pytest.mark.parametrize("parse", [parse_ccs, parse_ccs_plus])
+def test_deep_prefix_chain_parses(parse):
+    t = parse("a.b." * 2500 + "0")
+    for i in range(5000):  # a loop: a recursive walk would overflow the stack
+        assert isinstance(t, Act) and t.prefix is Prefix("ab"[i % 2])
+        t = t.cont
+    assert t is NIL
+
+
+def test_deep_pi_chain_parses():
+    t = parse_pi("a(x)." * 5000 + "x<a>.0")
+    for _ in range(5000):
+        assert isinstance(t, PiInput) and t.chan is FreeName("a")
+        t = t.body
+    assert t == PiOutput(BoundName(0), FreeName("a"), PI_NIL)
+
+
 def test_parse_pi_basics():
     assert parse_pi("0") == PI_NIL
     assert parse_pi("a(x)") == PiInput(FreeName("a"), PI_NIL)
