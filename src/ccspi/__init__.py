@@ -7,19 +7,15 @@ from .distributed import dsim, perfect_matching
 from .erasure import ErasureContext, check_erasure_transitions, erase, transfer_check
 from .lts import (
     TAU,
-    Lts,
     Tau,
     bisimilar_oracle,
     d_transitions,
     distinguishing_depth,
-    reachable_lts,
     transitions,
 )
 from .mirrored import (
     DiagramMdWitness,
     MdWitness,
-    check_md,
-    check_substitution_closure,
     search_md_diagram,
     search_md_parallel_shape,
 )
@@ -46,7 +42,6 @@ from .rewrite import (
     decide_bisim,
     decide_extensional,
     is_prime,
-    is_prime_bruteforce,
     normalize,
     normalize_steps,
     prime_decompose,

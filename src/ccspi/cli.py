@@ -28,7 +28,15 @@ from .mirrored import search_md_diagram, search_md_parallel_shape
 from .pi import early_bisim, ground_bisim, late_bisim
 from .rewrite import decide_bisim, normalize_steps, prime_decompose
 from .suites import SUITES, run_suite
-from .syntax import ParseError, parse_ccs, parse_ccs_plus, parse_pi, print_ccs, print_pi
+from .syntax import (
+    ParseError,
+    parse_ccs,
+    parse_ccs_plus,
+    parse_pi,
+    print_ccs,
+    print_pi,
+    print_term,
+)
 from .terms import is_ground
 
 
@@ -69,10 +77,6 @@ def _parse_term(calculus: str, text: str):
     if calculus == "pi":
         return parse_pi(text)
     raise UsageError(f"unknown calculus: {calculus}")
-
-
-def _print_term(calculus: str, t) -> str:
-    return print_pi(t) if calculus == "pi" else print_ccs(t)
 
 
 def cmd_normalize(args) -> int:
@@ -147,7 +151,7 @@ def cmd_bisim(args) -> int:
 
     report = RunReport(
         command="bisim",
-        inputs=[_print_term(args.calculus, p), _print_term(args.calculus, q)],
+        inputs=[print_term(p), print_term(q)],
         verdict=f"{style} bisimilar" if verdict else f"not {style} bisimilar",
         payload=payload,
         elapsed=time.time() - t0,
@@ -274,6 +278,13 @@ def cmd_enumerate(args) -> int:
     return 0 if report.passed else 1
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse type for size and search bounds: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ccspi argument parser.  One object per process: it holds no
@@ -335,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_md = sub.add_parser("md-search", help="bounded search for a mirrored dependency")
     p_md.add_argument("--calculus", choices=("ccs", "ccs+"), default="ccs")
     p_md.add_argument("--shape", choices=("parallel", "diagram"), default="parallel")
-    p_md.add_argument("--size", type=int, default=None)
+    p_md.add_argument("--size", type=_non_negative_int, default=None)
     p_md.add_argument("--names", default="a,b")
     add_format(p_md)
     p_md.set_defaults(fn=cmd_md_search)
@@ -343,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="run a named property suite")
     p_enum.add_argument("suite", nargs="?")
     p_enum.add_argument("--list", action="store_true", help="list the known suites")
-    p_enum.add_argument("--size-bound", dest="size_bound", type=int)
-    p_enum.add_argument("--count", type=int)
-    p_enum.add_argument("--max-prefixes", dest="max_prefixes", type=int)
-    p_enum.add_argument("--max-nus", dest="max_nus", type=int)
+    p_enum.add_argument("--size-bound", dest="size_bound", type=_non_negative_int)
+    p_enum.add_argument("--count", type=_non_negative_int)
+    p_enum.add_argument("--max-prefixes", dest="max_prefixes", type=_non_negative_int)
+    p_enum.add_argument("--max-nus", dest="max_nus", type=_non_negative_int)
     p_enum.add_argument("--seed", type=int)
-    p_enum.add_argument("--sample", type=int)
+    p_enum.add_argument("--sample", type=_non_negative_int)
     add_format(p_enum)
     p_enum.set_defaults(fn=cmd_enumerate)
 

@@ -90,13 +90,6 @@ def transitions(t: Term) -> frozenset[tuple[Action, Term]]:
     return frozenset((a, Par((loc, con))) for a, (loc, con) in d_transitions(t))
 
 
-@dataclass(frozen=True)
-class Lts:
-    root: Term
-    states: frozenset[Term]
-    edges: frozenset[tuple[Term, Action, Term]]
-
-
 def reachable_states(roots: Iterable[Term]) -> set[Term]:
     seen: set[Term] = set()
     todo = [r for r in roots]
@@ -109,12 +102,6 @@ def reachable_states(roots: Iterable[Term]) -> set[Term]:
             if tgt not in seen:
                 todo.append(tgt)
     return seen
-
-
-def reachable_lts(t: Term) -> Lts:
-    states = reachable_states([t])
-    edges = frozenset((s, a, tgt) for s in states for a, tgt in transitions(s))
-    return Lts(t, frozenset(states), edges)
 
 
 # --------------------------------------------------------------------------

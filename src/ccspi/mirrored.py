@@ -12,12 +12,12 @@ being substitution closed there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
 from .lts import Tau, bisimilar_oracle, transitions
 from .rewrite import decide_bisim, normalize
-from .terms import NIL, Act, Par, Prefix, Sum, Term, sort_key, substitute
+from .terms import NIL, Act, Par, Prefix, Sum, Term, sort_key
 
 Equivalence = Callable[[Term, Term], bool]
 
@@ -42,22 +42,6 @@ class MdWitness:
     t: Term
     t1: Term
     r: Term
-    calculus: str = "ccs"
-
-
-def check_md(w: MdWitness, *, equivalence: Equivalence | None = None) -> bool:
-    """Validate the candidate shape, then decide whether it is an actual
-    mirrored dependency."""
-    if w.eta1 == w.eta2:
-        raise ValueError("not a candidate MD")
-    if (w.eta1, w.s1) not in transitions(w.s):
-        raise ValueError("not a candidate MD")
-    if (w.eta2, w.t1) not in transitions(w.t):
-        raise ValueError("not a candidate MD")
-    equiv = equivalence or _default_equiv(w.calculus)
-    left = Par((Act(w.eta2, w.s), w.t1, w.r))
-    right = Par((w.s1, Act(w.eta1, w.t), w.r))
-    return equiv(left, right)
 
 
 def search_md_parallel_shape(size_bound: int, names: tuple[str, ...]) -> MdWitness | None:
@@ -84,16 +68,6 @@ def search_md_parallel_shape(size_bound: int, names: tuple[str, ...]) -> MdWitne
             if Par((nf_act[eta2, s], nf[t1])) is Par((nf[s1], nf_act[eta1, t])):
                 return MdWitness(eta1, eta2, s, s1, t, t1, NIL)
     return None
-
-
-def md_contribution_bounds(w: MdWitness) -> tuple[int, int]:
-    """The contribution of eta1 on both sides of a sum-free candidate with
-    r = 0; no MD exists because the left value stays below the right one."""
-    from .terms import contribution, size
-
-    left = Par((Act(w.eta2, w.s), w.t1))
-    right = Par((w.s1, Act(w.eta1, w.t)))
-    return contribution(left, w.eta1), contribution(right, w.eta1)
 
 
 # --------------------------------------------------------------------------
@@ -217,24 +191,3 @@ def search_md_diagram(
         if w is not None:
             return w
     return None
-
-
-def check_substitution_closure(
-    p: Term,
-    q: Term,
-    sigma: Mapping[str, str],
-    equivalence: str = "strong",
-) -> bool:
-    """Whether sigma preserves the chosen equivalence of p and q (vacuously
-    true when p and q are not equivalent to begin with)."""
-    from .distributed import dsim
-
-    if equivalence == "strong":
-        equiv: Equivalence = bisimilar_oracle
-    elif equivalence == "distributed":
-        equiv = dsim
-    else:
-        raise ValueError(f"unknown equivalence: {equivalence}")
-    if not equiv(p, q):
-        return True
-    return equiv(substitute(p, sigma), substitute(q, sigma))

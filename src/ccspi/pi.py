@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Iterable, Mapping
 
 from .lts import refine_partition
@@ -222,18 +221,6 @@ def pi_size(t: PiTerm) -> int:
         case PiPar(parts=ps):
             return sum(pi_size(p) for p in ps)
     raise TypeError(f"not a pi term: {t!r}")
-
-
-def _shift_dangling(t: PiTerm, amount: int) -> PiTerm:
-    if amount == 0:
-        return t
-
-    def fn(r: NameRef, d: int) -> NameRef:
-        if isinstance(r, BoundName) and r.index >= d:
-            return BoundName(r.index + amount)
-        return r
-
-    return _map_refs(t, fn)
 
 
 def open_binder(t: PiTerm, name: str) -> PiTerm:
@@ -539,97 +526,6 @@ def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[
         return frozenset((a, tuple(block[st] for st in succ)) for a, succ in moves[state])
 
     return refine_partition(moves, sig, rank=lambda state: pi_size(state[0]))
-
-
-# --------------------------------------------------------------------------
-# structural congruence
-
-_MAX_BINDER_BLOCK = 8
-
-
-def _nu_block(k: int, core: PiTerm) -> PiTerm:
-    """Wrap k binders around core in a canonical way: drop unused binders,
-    then order the block to minimise the body's sort key."""
-    used = sorted(i for i in dangling(core) if i < k)
-    m = len(used)
-    if m != k:
-        pos = {old: new for new, old in enumerate(used)}
-        drop = k - m
-
-        def fn(r: NameRef, d: int) -> NameRef:
-            if isinstance(r, BoundName) and r.index >= d:
-                idx = r.index - d
-                if idx < k:
-                    return BoundName(pos[idx] + d)
-                return BoundName(r.index - drop)
-            return r
-
-        core = _map_refs(core, fn)
-    if m == 0:
-        return core
-    if m > 1:
-        if m > _MAX_BINDER_BLOCK:
-            raise ValueError("restriction block too large to canonicalise")
-        best = None
-        for perm in permutations(range(m)):
-
-            def fn(r: NameRef, d: int, perm=perm) -> NameRef:
-                if isinstance(r, BoundName) and r.index >= d and r.index - d < m:
-                    return BoundName(perm[r.index - d] + d)
-                return r
-
-            cand = _map_refs(core, fn)
-            if best is None or pi_sort_key(cand) < pi_sort_key(best):
-                best = cand
-        core = best
-    for _ in range(m):
-        core = PiNu(core)
-    return core
-
-
-def _extrusion_normal(t: PiTerm) -> PiTerm:
-    """Hoist restrictions as far out as scope extrusion allows (never across
-    a prefix), then canonicalise each binder block."""
-    match t:
-        case PiNil():
-            return t
-        case PiInput(chan=c, body=b):
-            return PiInput(c, _extrusion_normal(b))
-        case PiOutput(chan=c, payload=p, body=b):
-            return PiOutput(c, p, _extrusion_normal(b))
-        case PiNu(body=b):
-            inner = _extrusion_normal(b)
-            k = 1
-            while isinstance(inner, PiNu):
-                inner = inner.body
-                k += 1
-            return _nu_block(k, inner)
-        case PiPar(parts=ps):
-            work = [_extrusion_normal(p) for p in ps]
-            out: list[PiTerm] = []
-            k = 0
-            while work:
-                item = work.pop(0)
-                if isinstance(item, PiNu):
-                    out = [_shift_dangling(x, 1) for x in out]
-                    work = [_shift_dangling(x, 1) for x in work]
-                    k += 1
-                    work.insert(0, item.body)
-                elif isinstance(item, PiPar):
-                    work = list(item.parts) + work
-                elif isinstance(item, PiNil):
-                    continue
-                else:
-                    out.append(item)
-            return _nu_block(k, PiPar(out))
-    raise TypeError(f"not a pi term: {t!r}")
-
-
-def pi_struct_congr(p: PiTerm, q: PiTerm) -> bool:
-    """Structural congruence: alpha (built into the representation), the
-    parallel monoid laws, restriction reordering, vacuous-restriction
-    elimination and scope extrusion."""
-    return _extrusion_normal(p) == _extrusion_normal(q)
 
 
 # --------------------------------------------------------------------------

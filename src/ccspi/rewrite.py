@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .lts import bisimilar_oracle
 from .terms import (
     NIL,
     Act,
@@ -31,8 +30,6 @@ from .terms import (
     is_ground,
     names,
     parallel_components,
-    prefixes,
-    size,
     sort_key,
     variables,
 )
@@ -159,31 +156,6 @@ def prime_decompose(p: Term) -> tuple[Term, ...]:
 
 def is_prime(p: Term) -> bool:
     return len(prime_decompose(p)) == 1
-
-
-def is_prime_bruteforce(p: Term, *, size_bound: int = 6) -> bool:
-    """Primality via the definition: p is prime iff p is not bisimilar to 0
-    and every split p ~ q | r has a trivial side.  Candidate q, r range over
-    terms built from p's own prefixes with sizes summing to size(p); that is
-    exhaustive, since bisimilar terms have equal size and every prefix of a
-    sum-free term eventually fires.
-    """
-    from .generate import ccs_terms_of_size
-
-    if not is_ground(p):
-        raise ValueError("prime decomposition undefined on open terms")
-    n = size(p)
-    if n > size_bound:
-        raise ValueError("brute-force bound exceeded")
-    if n == 0:
-        return False
-    alphabet = tuple(sorted(prefixes(p)))
-    for k in range(1, n // 2 + 1):
-        for q in ccs_terms_of_size(k, alphabet):
-            for r in ccs_terms_of_size(n - k, alphabet):
-                if bisimilar_oracle(p, Par((q, r))):
-                    return False
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -603,6 +603,9 @@ def pi_subst_cases(
     """Random (p, sigma) with sigma identifying two free names of p: every
     transition of p.sigma is assigned one explanation case (visible image,
     tau image, or a communication created by the identification)."""
+    if max_prefixes < 1:
+        # a term needs a prefix to have a free name, so no term qualifies
+        raise ValueError("pi-subst-cases needs max_prefixes >= 1")
     t0 = time.time()
     rng = random.Random(seed)
     tasks = []

@@ -1,5 +1,4 @@
-"""Concrete syntax: tokenizer, parsers, deterministic printers, and a
-nested-object serialization for terms and transition graphs.
+"""Concrete syntax: tokenizer, parsers and deterministic printers.
 
 Shared grammar conventions: names are lowercase identifiers, variables
 uppercase, 'a is the coaction of a; "." binds tighter than "+", which binds
@@ -19,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .lts import Lts, Tau, action_key
 from .pi import (
     PI_NIL,
     BoundName,
@@ -33,7 +31,7 @@ from .pi import (
     dangling,
     free_names,
 )
-from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, sort_key
+from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var
 
 
 @dataclass(frozen=True)
@@ -350,104 +348,3 @@ def print_term(t: Term | PiTerm) -> str:
     if isinstance(t, PiTerm):
         return print_pi(t)
     return print_ccs(t)
-
-
-# serialization --------------------------------------------------------------
-
-
-def term_to_obj(t: Term) -> dict:
-    """Nested-object document: constructor tag plus children."""
-    match t:
-        case Nil():
-            return {"kind": "nil"}
-        case Var(ident=v):
-            return {"kind": "var", "name": v}
-        case Act(prefix=p, cont=c):
-            return {"kind": "act", "name": p.name, "co": p.co, "cont": term_to_obj(c)}
-        case Par(parts=ps):
-            return {"kind": "par", "parts": [term_to_obj(x) for x in ps]}
-        case Sum(parts=ps):
-            return {"kind": "sum", "parts": [term_to_obj(x) for x in ps]}
-    raise TypeError(f"not a CCS term: {t!r}")
-
-
-def term_from_obj(obj: dict) -> Term:
-    match obj:
-        case {"kind": "nil"}:
-            return NIL
-        case {"kind": "var", "name": str(n)}:
-            return Var(n)
-        case {"kind": "act", "name": str(n), "co": bool(co), "cont": c}:
-            return Act(Prefix(n, co), term_from_obj(c))
-        case {"kind": "par", "parts": list(ps)}:
-            return Par(term_from_obj(x) for x in ps)
-        case {"kind": "sum", "parts": list(ps)}:
-            return Sum(term_from_obj(x) for x in ps)
-    raise ValueError(f"not a term document: {obj!r}")
-
-
-def _ref_to_obj(r: FreeName | BoundName) -> dict:
-    if isinstance(r, FreeName):
-        return {"kind": "free", "name": r.name}
-    return {"kind": "bound", "index": r.index}
-
-
-def _ref_from_obj(obj: dict) -> FreeName | BoundName:
-    match obj:
-        case {"kind": "free", "name": str(n)}:
-            return FreeName(n)
-        case {"kind": "bound", "index": int(i)}:
-            return BoundName(i)
-    raise ValueError(f"not a name document: {obj!r}")
-
-
-def pi_to_obj(t: PiTerm) -> dict:
-    match t:
-        case PiNil():
-            return {"kind": "nil"}
-        case PiInput(chan=c, body=b):
-            return {"kind": "input", "chan": _ref_to_obj(c), "body": pi_to_obj(b)}
-        case PiOutput(chan=c, payload=n, body=b):
-            return {
-                "kind": "output",
-                "chan": _ref_to_obj(c),
-                "payload": _ref_to_obj(n),
-                "body": pi_to_obj(b),
-            }
-        case PiNu(body=b):
-            return {"kind": "nu", "body": pi_to_obj(b)}
-        case PiPar(parts=ps):
-            return {"kind": "par", "parts": [pi_to_obj(x) for x in ps]}
-    raise TypeError(f"not a pi term: {t!r}")
-
-
-def pi_from_obj(obj: dict) -> PiTerm:
-    match obj:
-        case {"kind": "nil"}:
-            return PI_NIL
-        case {"kind": "input", "chan": c, "body": b}:
-            return PiInput(_ref_from_obj(c), pi_from_obj(b))
-        case {"kind": "output", "chan": c, "payload": n, "body": b}:
-            return PiOutput(_ref_from_obj(c), _ref_from_obj(n), pi_from_obj(b))
-        case {"kind": "nu", "body": b}:
-            return PiNu(pi_from_obj(b))
-        case {"kind": "par", "parts": list(ps)}:
-            return PiPar(pi_from_obj(x) for x in ps)
-    raise ValueError(f"not a pi term document: {obj!r}")
-
-
-def action_str(a: Tau | Prefix) -> str:
-    return "tau" if isinstance(a, Tau) else str(a)
-
-
-def lts_to_obj(lts: Lts) -> dict:
-    states = sorted(lts.states, key=sort_key)
-    edges = sorted(lts.edges, key=lambda e: (sort_key(e[0]), action_key(e[1]), sort_key(e[2])))
-    return {
-        "root": print_ccs(lts.root),
-        "states": [print_ccs(s) for s in states],
-        "edges": [
-            {"source": print_ccs(s), "action": action_str(a), "target": print_ccs(g)}
-            for s, a, g in edges
-        ],
-    }

@@ -240,6 +240,45 @@ def test_enumerate_unknown_suite(capsys):
     assert "no-such-suite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "nf-oracle-agreement", "--size-bound", "-1"],
+        ["enumerate", "pi-congruence", "--max-prefixes", "-1"],
+        ["enumerate", "erasure-random", "--count", "-3"],
+        ["enumerate", "erasure-random", "--max-nus", "-1"],
+        ["enumerate", "nf-oracle-agreement", "--sample", "-1"],
+        ["enumerate", "erasure-random", "--count", "x"],
+        ["md-search", "--size", "-1"],
+    ],
+    ids=["size-bound", "max-prefixes", "count", "max-nus", "sample", "not-a-number", "md-size"],
+)
+def test_bound_must_be_a_non_negative_integer(capsys, argv):
+    # before validation these crashed with exit 1 ("does not hold"), or
+    # passed a suite that checked a negative number of cases
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_pi_subst_cases_without_prefixes_is_an_error():
+    # no term without prefixes has the two free names the suite samples
+    # for; run apart, so that a regression fails on the timeout, not hangs
+    script = (
+        "import sys\n"
+        "from ccspi.cli import main\n"
+        "sys.exit(main(['enumerate', 'pi-subst-cases', '--max-prefixes', '0']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ccspi.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "max_prefixes >= 1" in done.stderr
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

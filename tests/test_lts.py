@@ -15,7 +15,6 @@ from ccspi.lts import (
     bisimilar_oracle,
     bisimulation_blocks,
     distinguishing_depth,
-    reachable_lts,
     reachable_states,
     refine_partition,
     transitions,
@@ -75,22 +74,25 @@ def test_tau_sorts_after_visible_actions():
     assert isinstance(TAU, Tau)
 
 
-def test_reachable_lts_shape():
+def _edges(states):
+    return {(s, a, tgt) for s in states for a, tgt in transitions(s)}
+
+
+def test_reachable_states_shape():
     # hand enumeration: a.0 | 'a.0 reaches three proper successors
-    lts = reachable_lts(parse_ccs("a.0 | 'a.0"))
-    assert lts.root == parse_ccs("a.0 | 'a.0")
-    assert lts.states == frozenset(
-        {parse_ccs("a.0 | 'a.0"), parse_ccs("a.0"), parse_ccs("'a.0"), NIL}
-    )
-    assert len(lts.edges) == 5
-    assert (parse_ccs("a.0 | 'a.0"), TAU, NIL) in lts.edges
+    root = parse_ccs("a.0 | 'a.0")
+    states = reachable_states([root])
+    assert states == {root, parse_ccs("a.0"), parse_ccs("'a.0"), NIL}
+    edges = _edges(states)
+    assert len(edges) == 5
+    assert (root, TAU, NIL) in edges
 
 
-def test_reachable_lts_degenerate():
-    assert reachable_lts(NIL).states == frozenset({NIL})
-    assert reachable_lts(NIL).edges == frozenset()
-    lts = reachable_lts(parse_ccs("a.0"))
-    assert len(lts.states) == 2 and len(lts.edges) == 1
+def test_reachable_states_degenerate():
+    assert reachable_states([NIL]) == {NIL}
+    assert transitions(NIL) == frozenset()
+    states = reachable_states([parse_ccs("a.0")])
+    assert len(states) == 2 and len(_edges(states)) == 1
 
 
 @given(term_st())

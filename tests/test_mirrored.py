@@ -1,49 +1,18 @@
-"""Mirrored-dependency candidates, the exhaustive searches, and
-substitution-closure checks."""
+"""The exhaustive mirrored-dependency searches, the contribution gap that
+rules out a sum-free mirrored dependency, and substitution closure of strong
+and distributed bisimilarity, checked by the deciders directly."""
 
-import pytest
-
+from ccspi.distributed import dsim
 from ccspi.generate import ccs_terms_upto, prefix_alphabet
-from ccspi.lts import Tau, transitions
+from ccspi.lts import Tau, bisimilar_oracle, transitions
 from ccspi.mirrored import (
     DiagramMdWitness,
-    MdWitness,
-    check_md,
-    check_substitution_closure,
     diagram_md_at,
-    md_contribution_bounds,
     search_md_diagram,
     search_md_parallel_shape,
 )
 from ccspi.syntax import parse_ccs, parse_ccs_plus
-from ccspi.terms import NIL, Prefix, size
-
-
-def _simple_witness():
-    return MdWitness(
-        Prefix("a"), Prefix("b"), parse_ccs("a.0"), NIL, parse_ccs("b.0"), NIL, NIL
-    )
-
-
-def test_check_md_validates_shape():
-    w = _simple_witness()
-    assert check_md(w) is False
-    # the check itself is equivalence-parametric
-    assert check_md(w, equivalence=lambda x, y: True) is True
-
-
-def test_check_md_rejects_bad_candidates():
-    with pytest.raises(ValueError, match="candidate"):
-        check_md(
-            MdWitness(Prefix("a"), Prefix("a"), parse_ccs("a.0"), NIL, parse_ccs("a.0"), NIL, NIL)
-        )
-    with pytest.raises(ValueError, match="candidate"):
-        # s1 is not an a-derivative of s
-        check_md(
-            MdWitness(
-                Prefix("a"), Prefix("b"), parse_ccs("a.0"), parse_ccs("a.0"), parse_ccs("b.0"), NIL, NIL
-            )
-        )
+from ccspi.terms import NIL, Act, Par, contribution, size, substitute
 
 
 def test_contribution_gap_over_all_small_candidates():
@@ -60,8 +29,8 @@ def test_contribution_gap_over_all_small_candidates():
         for eta2, t, t1 in moves:
             if eta1 == eta2:
                 continue
-            w = MdWitness(eta1, eta2, s, s1, t, t1, NIL)
-            lo, hi = md_contribution_bounds(w)
+            lo = contribution(Par((Act(eta2, s), t1)), eta1)
+            hi = contribution(Par((s1, Act(eta1, t))), eta1)
             assert lo <= size(t1) < size(t1) + 2 <= hi
             checked += 1
     assert checked > 100
@@ -100,17 +69,21 @@ def test_diagram_at_needs_nesting():
 def test_substitution_closure():
     l = parse_ccs_plus("a.0 | 'b.0")
     r = parse_ccs_plus("a.'b.0 + 'b.a.0")
+    # strongly bisimilar by the expansion law, but identifying a and b lets
+    # the left side synchronise and the right side not
+    assert bisimilar_oracle(l, r)
     collapse = {"a": "p", "b": "p"}
-    assert not check_substitution_closure(l, r, collapse, equivalence="strong")
-    assert check_substitution_closure(l, r, {"a": "c", "b": "d"}, equivalence="strong")
-    # not distributed-bisimilar in the first place, so closure holds vacuously
-    assert check_substitution_closure(l, r, collapse, equivalence="distributed")
-    with pytest.raises(ValueError):
-        check_substitution_closure(l, r, collapse, equivalence="weak")
+    assert not bisimilar_oracle(substitute(l, collapse), substitute(r, collapse))
+    injective = {"a": "c", "b": "d"}
+    assert bisimilar_oracle(substitute(l, injective), substitute(r, injective))
+    # distributed bisimilarity tells the two apart before any substitution
+    assert not dsim(l, r)
 
 
 def test_substitution_closure_sum_free():
-    p = parse_ccs("a.b.0")
-    q = parse_ccs("a.b.0")
-    for sigma in ({"a": "b"}, {"b": "a"}, {}):
-        assert check_substitution_closure(p, q, sigma, equivalence="strong")
+    # bisimilar by the distribution law, and still so under every renaming
+    p = parse_ccs("a.(b.0 | a.b.0)")
+    q = parse_ccs("a.b.0 | a.b.0")
+    assert bisimilar_oracle(p, q)
+    for sigma in ({"a": "b"}, {"b": "a"}, {"a": "c", "b": "d"}, {}):
+        assert bisimilar_oracle(substitute(p, sigma), substitute(q, sigma))

@@ -34,7 +34,6 @@ from ccspi.pi import (
     open_binder,
     pi_blocks,
     pi_size,
-    pi_struct_congr,
     pi_substitute,
 )
 from ccspi.suites import run_suite
@@ -226,12 +225,10 @@ def test_modes_reflexive(t):
     assert early_bisim(t, t)
 
 
-def test_struct_congr_extrudes_scope():
+def test_scope_extrusion_is_ground_bisimilar():
     l = parse_pi("(nu p)(a<p>.0 | b(y).0)")
     r = PiPar([parse_pi("b(y).0"), parse_pi("(nu p)(a<p>.0)")])
-    assert pi_struct_congr(l, r)
     assert ground_bisim(l, r)
-    assert not pi_struct_congr(parse_pi("a(x).0 | a(y).0"), parse_pi("a(x).a(y).0"))
 
 
 # classes by one refinement --------------------------------------------------

@@ -13,7 +13,6 @@ from ccspi.rewrite import (
     decide_bisim,
     decide_extensional,
     is_prime,
-    is_prime_bruteforce,
     normalize,
     normalize_steps,
     prime_decompose,
@@ -33,6 +32,7 @@ from ccspi.terms import (
     sort_key,
     weight,
 )
+from prime_reference import is_prime_bruteforce
 
 
 def term_st(with_vars=False):

@@ -1,6 +1,5 @@
-"""Concrete syntax: parsing, printing, round trips, serialization."""
+"""Concrete syntax: parsing, printing, round trips."""
 
-import json
 import random
 
 import pytest
@@ -15,22 +14,15 @@ from ccspi.generate import (
     random_ccs_open,
     random_pi,
 )
-from ccspi.lts import reachable_lts
 from ccspi.pi import PI_NIL, BoundName, FreeName, PiInput, PiOutput, late_transitions
 from ccspi.syntax import (
     ParseError,
-    action_str,
-    lts_to_obj,
     parse_ccs,
     parse_ccs_plus,
     parse_pi,
-    pi_from_obj,
-    pi_to_obj,
     print_ccs,
     print_pi,
     print_term,
-    term_from_obj,
-    term_to_obj,
 )
 from ccspi.terms import NIL, Act, Par, Prefix, Sum, Var
 
@@ -227,46 +219,3 @@ def test_roundtrip_random_open_ccs(seed):
 def test_roundtrip_random_pi(seed):
     t = random_pi(random.Random(seed), 5, 2, ("a", "b", "c"))
     assert parse_pi(print_pi(t)) == t
-
-
-# serialization --------------------------------------------------------------
-
-
-def test_term_obj_roundtrip():
-    for src in ["0", "a.b.0 | 'a.0", "a.X | Y"]:
-        t = parse_ccs(src)
-        obj = term_to_obj(t)
-        json.dumps(obj)  # must be plain data
-        assert term_from_obj(obj) == t
-    s = parse_ccs_plus("a.b.0 + 'a.0")
-    assert term_from_obj(term_to_obj(s)) == s
-
-
-def test_pi_obj_roundtrip():
-    for src in ["0", "a(x).x<a>.0", "(nu p)(b<p>.a(x).0)", "a(x).0 | a<b>.0"]:
-        t = parse_pi(src)
-        obj = pi_to_obj(t)
-        json.dumps(obj)
-        assert pi_from_obj(obj) == t
-
-
-def test_term_from_obj_rejects_junk():
-    with pytest.raises(ValueError):
-        term_from_obj({"kind": "mystery"})
-
-
-def test_action_str():
-    from ccspi.lts import TAU
-
-    assert action_str(TAU) == "tau"
-    assert action_str(Prefix("a", co=True)) == "'a"
-
-
-def test_lts_to_obj_shape():
-    obj = lts_to_obj(reachable_lts(parse_ccs("a.0 | 'a.0")))
-    assert obj["root"] == "a.0 | 'a.0"
-    assert len(obj["states"]) == 4
-    assert len(obj["edges"]) == 5
-    assert {"source": "a.0 | 'a.0", "action": "tau", "target": "0"} in obj["edges"]
-    # deterministic: states and edges come out sorted
-    assert obj == lts_to_obj(reachable_lts(parse_ccs("'a.0 | a.0")))
