@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 import time
@@ -30,6 +31,7 @@ from .rewrite import decide_bisim, normalize_steps, prime_decompose
 from .suites import SUITES, run_suite
 from .syntax import (
     ParseError,
+    is_name,
     parse_ccs,
     parse_ccs_plus,
     parse_pi,
@@ -196,7 +198,7 @@ def cmd_erase(args) -> int:
 
 def cmd_md_search(args) -> int:
     t0 = time.time()
-    names = tuple(args.names.split(","))
+    names = args.names
     if args.shape == "parallel":
         if args.calculus != "ccs":
             raise UsageError("the parallel-shape search is defined for the sum-free calculus")
@@ -250,6 +252,14 @@ def cmd_enumerate(args) -> int:
         "seed": args.seed,
         "sample": args.sample,
     }
+    if args.suite in SUITES:
+        # run_suite skips what a suite does not take, so a bound the user
+        # gave would silently not apply
+        params = inspect.signature(SUITES[args.suite]).parameters
+        ignored = [k for k, v in overrides.items() if v is not None and k not in params]
+        if ignored:
+            flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
+            raise UsageError(f"suite {args.suite!r} does not take {flags}")
     try:
         report = run_suite(args.suite, **overrides)
     except KeyError as e:
@@ -283,6 +293,19 @@ def _non_negative_int(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _name_list(text: str) -> tuple[str, ...]:
+    """An argparse type for --names: distinct channel names, comma-separated."""
+    names = tuple(text.split(","))
+    for n in names:
+        if not is_name(n):
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated lowercase names, got {n!r} in {text!r}"
+            )
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"expected distinct names, got {text!r}")
+    return names
 
 
 @functools.cache
@@ -347,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_md.add_argument("--calculus", choices=("ccs", "ccs+"), default="ccs")
     p_md.add_argument("--shape", choices=("parallel", "diagram"), default="parallel")
     p_md.add_argument("--size", type=_non_negative_int, default=None)
-    p_md.add_argument("--names", default="a,b")
+    p_md.add_argument("--names", type=_name_list, default="a,b")
     add_format(p_md)
     p_md.set_defaults(fn=cmd_md_search)
 

@@ -11,13 +11,14 @@ being substitution closed there.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 from .generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
 from .lts import Tau, bisimilar_oracle, transitions
 from .rewrite import decide_bisim, normalize
-from .terms import NIL, Act, Par, Prefix, Sum, Term, sort_key
+from .terms import NIL, Act, Par, Prefix, Sum, Term, parallel_components, sort_key
 
 Equivalence = Callable[[Term, Term], bool]
 
@@ -49,8 +50,8 @@ def search_md_parallel_shape(size_bound: int, names: tuple[str, ...]) -> MdWitne
     size bound.  The parallel context r is fixed to 0: normal forms compose
     componentwise under parallel, so the two sides are bisimilar with some r
     iff they are bisimilar with r = 0 (cancellation).  The same property lets
-    each component be normalized once, before the pair loop; the two sides
-    are bisimilar iff nf(eta2.s) | nf(t1) is nf(s1) | nf(eta1.t).
+    each component be normalized once, before the pairs are matched; the two
+    sides are bisimilar iff nf(eta2.s) | nf(t1) is nf(s1) | nf(eta1.t).
     """
     pool = ccs_terms_upto(size_bound, prefix_alphabet(names))
     moves: list[tuple[Prefix, Term, Term]] = []
@@ -61,12 +62,49 @@ def search_md_parallel_shape(size_bound: int, names: tuple[str, ...]) -> MdWitne
     nf = {s1: normalize(s1) for _, _, s1 in moves}
     labels = {a for a, _, _ in moves}
     nf_act = {(a, s): normalize(Act(a, s)) for a in labels for s in pool}
+    return first_mirrored_pair(moves, nf, nf_act)
+
+
+def _difference(plus: Term, minus: Term) -> frozenset[tuple[Term, int]]:
+    """The parallel components of plus less those of minus, as a signed
+    multiset: each component with its nonzero count."""
+    count = Counter(parallel_components(plus))
+    count.subtract(parallel_components(minus))
+    return frozenset(item for item in count.items() if item[1])
+
+
+def first_mirrored_pair(
+    moves: list[tuple[Prefix, Term, Term]],
+    nf: dict[Term, Term],
+    nf_act: dict[tuple[Prefix, Term], Term],
+) -> MdWitness | None:
+    """The first pair of moves (eta1, s, s1), (eta2, t, t1), in the order of
+    `moves` with the first move outer, such that eta1 != eta2 and
+    Par((nf_act[eta2, s], nf[t1])) is Par((nf[s1], nf_act[eta1, t])).
+
+    A canonical `Par` is a multiset of components, so the equation holds
+    iff comps(nf_act[eta2, s]) - comps(nf[s1]) equals
+    comps(nf_act[eta1, t]) - comps(nf[t1]) as signed multisets: the left
+    side depends on the first move and eta2 only, the right side on the
+    second move and eta1 only.  A hash join on these keys finds the pair in
+    O(moves x labels) instead of trying every pair.
+    """
+    labels = sorted({a for a, _, _ in moves})
+    first: dict[tuple, int] = {}
+    for j, (eta2, t, t1) in enumerate(moves):
+        for eta1 in labels:
+            if eta1 != eta2:
+                first.setdefault((eta1, eta2, _difference(nf_act[eta1, t], nf[t1])), j)
     for eta1, s, s1 in moves:
-        for eta2, t, t1 in moves:
-            if eta1 == eta2:
-                continue
-            if Par((nf_act[eta2, s], nf[t1])) is Par((nf[s1], nf_act[eta1, t])):
-                return MdWitness(eta1, eta2, s, s1, t, t1, NIL)
+        hits = {
+            first.get((eta1, eta2, _difference(nf_act[eta2, s], nf[s1])))
+            for eta2 in labels
+            if eta2 != eta1
+        }
+        hits.discard(None)
+        if hits:
+            eta2, t, t1 = moves[min(hits)]
+            return MdWitness(eta1, eta2, s, s1, t, t1, NIL)
     return None
 
 

@@ -48,6 +48,10 @@ def _ref_dangling(r: NameRef) -> frozenset[int]:
     return frozenset((r.index,)) if isinstance(r, BoundName) else frozenset()
 
 
+def _ref_free(r: NameRef) -> frozenset[str]:
+    return frozenset((r.name,)) if isinstance(r, FreeName) else frozenset()
+
+
 def _unbind(indices: frozenset[int]) -> frozenset[int]:
     """Dangling indices of a body, seen from outside one binder."""
     return frozenset(i - 1 for i in indices if i > 0)
@@ -55,16 +59,21 @@ def _unbind(indices: frozenset[int]) -> frozenset[int]:
 
 class PiTerm(Node):
     """Base class for pi terms.  Every node records, once, the indices it
-    references without binding them (see `dangling`)."""
+    references without binding them (see `dangling`), its size (see
+    `pi_size`) and its free names (see `free_names`)."""
 
-    __slots__ = ("_dangling",)
+    __slots__ = ("_dangling", "_size", "_free")
     _table = {}
 
     def _derive(self) -> None:
-        object.__setattr__(self, "_dangling", self._free_indices())
+        dangling, size, free = self._measures()
+        object.__setattr__(self, "_dangling", dangling)
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_free", free)
 
-    def _free_indices(self) -> frozenset[int]:
-        return frozenset()
+    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+        """Dangling indices, prefix count and free names, from the fields."""
+        return frozenset(), 0, frozenset()
 
 
 class PiNil(PiTerm):
@@ -83,8 +92,9 @@ class PiInput(PiTerm):
     def __new__(cls, chan: NameRef, body: PiTerm) -> PiInput:
         return cls._make(chan, body)
 
-    def _free_indices(self) -> frozenset[int]:
-        return _ref_dangling(self.chan) | _unbind(self.body._dangling)
+    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+        c, b = self.chan, self.body
+        return _ref_dangling(c) | _unbind(b._dangling), b._size + 1, _ref_free(c) | b._free
 
 
 class PiOutput(PiTerm):
@@ -93,8 +103,13 @@ class PiOutput(PiTerm):
     def __new__(cls, chan: NameRef, payload: NameRef, body: PiTerm) -> PiOutput:
         return cls._make(chan, payload, body)
 
-    def _free_indices(self) -> frozenset[int]:
-        return _ref_dangling(self.chan) | _ref_dangling(self.payload) | self.body._dangling
+    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+        c, p, b = self.chan, self.payload, self.body
+        return (
+            _ref_dangling(c) | _ref_dangling(p) | b._dangling,
+            b._size + 1,
+            _ref_free(c) | _ref_free(p) | b._free,
+        )
 
 
 class PiPar(PiTerm):
@@ -118,8 +133,13 @@ class PiPar(PiTerm):
         items.sort(key=pi_sort_key)
         return cls._make(tuple(items))
 
-    def _free_indices(self) -> frozenset[int]:
-        return frozenset().union(*(p._dangling for p in self.parts))
+    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+        ps = self.parts
+        return (
+            frozenset().union(*(p._dangling for p in ps)),
+            sum(p._size for p in ps),
+            frozenset().union(*(p._free for p in ps)),
+        )
 
 
 class PiNu(PiTerm):
@@ -140,8 +160,9 @@ class PiNu(PiTerm):
 
         return _map_refs(body, fn)
 
-    def _free_indices(self) -> frozenset[int]:
-        return _unbind(self.body._dangling)
+    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+        b = self.body
+        return _unbind(b._dangling), b._size, b._free
 
 
 # --------------------------------------------------------------------------
@@ -192,35 +213,13 @@ def dangling(t: PiTerm) -> frozenset[int]:
     return t._dangling
 
 
-@lru_cache(maxsize=None)
 def free_names(t: PiTerm) -> frozenset[str]:
-    def ref(r: NameRef) -> frozenset[str]:
-        return frozenset((r.name,)) if isinstance(r, FreeName) else frozenset()
-
-    match t:
-        case PiNil():
-            return frozenset()
-        case PiInput(chan=c, body=b):
-            return ref(c) | free_names(b)
-        case PiOutput(chan=c, payload=p, body=b):
-            return ref(c) | ref(p) | free_names(b)
-        case PiPar(parts=ps):
-            return frozenset().union(*(free_names(p) for p in ps)) if ps else frozenset()
-        case PiNu(body=b):
-            return free_names(b)
-    raise TypeError(f"not a pi term: {t!r}")
+    return t._free
 
 
 def pi_size(t: PiTerm) -> int:
     """Number of prefix occurrences."""
-    match t:
-        case PiNil():
-            return 0
-        case PiInput(body=b) | PiOutput(body=b) | PiNu(body=b):
-            return (0 if isinstance(t, PiNu) else 1) + pi_size(b)
-        case PiPar(parts=ps):
-            return sum(pi_size(p) for p in ps)
-    raise TypeError(f"not a pi term: {t!r}")
+    return t._size
 
 
 def open_binder(t: PiTerm, name: str) -> PiTerm:

@@ -55,13 +55,20 @@ class ParseError(ValueError):
 
 Token = tuple[str, str, int, int]  # kind, text, start, end
 
+_NAME = r"[a-z][a-z0-9_]*"
+
 # Whitespace matches no group, so finditer steps over it; any other
 # character that starts no token is caught by the last group.
 _TOKEN_RE = re.compile(
-    r"(?P<zero>0)|(?P<name>[a-z][a-z0-9_]*)|(?P<var>[A-Z][A-Za-z0-9_]*)"
+    rf"(?P<zero>0)|(?P<name>{_NAME})|(?P<var>[A-Z][A-Za-z0-9_]*)"
     r"|(?P<quote>')|(?P<dot>\.)|(?P<bar>\|)|(?P<plus>\+)"
     r"|(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)|(?P<other>\S)"
 )
+
+
+def is_name(text: str) -> bool:
+    """Whether text is a channel name: one lowercase-identifier token."""
+    return re.fullmatch(_NAME, text) is not None
 
 
 def tokenize(text: str) -> list[Token]:

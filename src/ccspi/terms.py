@@ -111,10 +111,22 @@ class Prefix(Record):
 
 
 class Term(Node):
-    """Base class for CCS terms."""
+    """Base class for CCS terms.  Every node records its size once (see
+    `size`): None on an open term."""
 
-    __slots__ = ()
+    __slots__ = ("_size",)
     _table = {}
+
+    def _derive(self) -> None:
+        object.__setattr__(self, "_size", self._own_size())
+
+    def _own_size(self) -> int | None:
+        return 0
+
+
+def _total_size(parts: tuple[Term, ...]) -> int | None:
+    sizes = [p._size for p in parts]
+    return None if None in sizes else sum(sizes)
 
 
 class Nil(Term):
@@ -132,6 +144,10 @@ class Act(Term):
 
     def __new__(cls, prefix: Prefix, cont: Term) -> Act:
         return cls._make(prefix, cont)
+
+    def _own_size(self) -> int | None:
+        n = self.cont._size
+        return None if n is None else n + 1
 
 
 class Par(Term):
@@ -154,6 +170,9 @@ class Par(Term):
             return items[0]
         items.sort(key=sort_key)
         return cls._make(tuple(items))
+
+    def _own_size(self) -> int | None:
+        return _total_size(self.parts)
 
 
 class Sum(Term):
@@ -179,12 +198,18 @@ class Sum(Term):
             return ordered[0]
         return cls._make(tuple(ordered))
 
+    def _own_size(self) -> int | None:
+        return _total_size(self.parts)
+
 
 class Var(Term):
     __slots__ = _fields = ("ident",)
 
     def __new__(cls, ident: str) -> Var:
         return cls._make(ident)
+
+    def _own_size(self) -> None:
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -226,15 +251,8 @@ def parallel_components(t: Term) -> tuple[Term, ...]:
 
 
 def is_ground(t: Term) -> bool:
-    match t:
-        case Var():
-            return False
-        case Act(cont=c):
-            return is_ground(c)
-        case Par(parts=ps) | Sum(parts=ps):
-            return all(is_ground(p) for p in ps)
-        case _:
-            return True
+    """Whether t holds no process variable: exactly the terms with a size."""
+    return t._size is not None
 
 
 def variables(t: Term) -> frozenset[str]:
@@ -267,16 +285,10 @@ def names(t: Term) -> frozenset[Name]:
 def size(t: Term) -> int:
     """Number of prefix occurrences.  Undefined on open terms: a variable
     could be instantiated with processes of any size."""
-    match t:
-        case Nil():
-            return 0
-        case Act(cont=c):
-            return 1 + size(c)
-        case Par(parts=ps) | Sum(parts=ps):
-            return sum(size(p) for p in ps)
-        case Var():
-            raise ValueError("size undefined on open terms")
-    raise TypeError(f"not a term: {t!r}")
+    n = t._size
+    if n is None:
+        raise ValueError("size undefined on open terms")
+    return n
 
 
 def weight(t: Term, depth: int = 1) -> int:

@@ -10,6 +10,7 @@ import pytest
 
 import ccspi
 from ccspi.cli import build_parser, main
+from ccspi.suites import run_suite
 
 
 def run(capsys, *argv):
@@ -202,6 +203,25 @@ def test_md_search_none_found(capsys):
     assert "no witness" in out
 
 
+@pytest.mark.parametrize(
+    "names", ["", "a,a", "a,,b", "a,", ",a", "A", "a b", "0", "a.b", "'a"],
+    ids=["empty", "repeated", "empty-entry", "trailing-comma", "leading-comma",
+         "uppercase", "space", "digit", "dot", "coaction"],
+)
+def test_md_search_names_must_be_distinct_channel_names(capsys, names):
+    # before validation these searched a malformed alphabet and exited 1
+    with pytest.raises(SystemExit) as exc:
+        main(["md-search", "--names", names, "--size", "1"])
+    assert exc.value.code == 2
+    assert "argument --names" in capsys.readouterr().err
+
+
+def test_md_search_names(capsys):
+    code, out, _ = run(capsys, "md-search", "--names", "a,b_2,c", "--size", "1", "--format", "json")
+    assert code == 1
+    assert "names=('a', 'b_2', 'c')" in json.loads(out)["inputs"][0]
+
+
 def test_parse_error_is_reported(capsys):
     code, _, err = run(capsys, "normalize", "a.0 + b.0")
     assert code == 2
@@ -232,6 +252,27 @@ def test_enumerate_with_bounds(capsys):
     code, out, _ = run(capsys, "enumerate", "confluence-termination", "--size-bound", "3")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["replication-ladder", "--size-bound", "99"], "--size-bound"),
+        (["replication-ladder", "--size-bound", "99", "--count", "5"], "--size-bound, --count"),
+        (["no-md-sumfree", "--seed", "3"], "--seed"),
+        (["nf-oracle-agreement", "--max-nus", "1"], "--max-nus"),
+    ],
+)
+def test_enumerate_rejects_a_flag_the_suite_does_not_take(capsys, argv, flags):
+    # before, the flag was dropped and the suite ran at its own bounds
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 2 and out == ""
+    assert f"does not take {flags}" in err
+
+
+def test_run_suite_still_skips_what_a_suite_does_not_take():
+    # the benchmark hands a seed to every suite this way
+    assert run_suite("replication-ladder", seed=5, size_bound=99).passed
 
 
 def test_enumerate_unknown_suite(capsys):

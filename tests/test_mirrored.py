@@ -2,17 +2,24 @@
 rules out a sum-free mirrored dependency, and substitution closure of strong
 and distributed bisimilarity, checked by the deciders directly."""
 
+import random
+
+import pytest
+
 from ccspi.distributed import dsim
 from ccspi.generate import ccs_terms_upto, prefix_alphabet
 from ccspi.lts import Tau, bisimilar_oracle, transitions
 from ccspi.mirrored import (
     DiagramMdWitness,
     diagram_md_at,
+    first_mirrored_pair,
     search_md_diagram,
     search_md_parallel_shape,
 )
+from ccspi.rewrite import normalize
 from ccspi.syntax import parse_ccs, parse_ccs_plus
-from ccspi.terms import NIL, Act, Par, contribution, size, substitute
+from ccspi.terms import NIL, Act, Par, Prefix, contribution, size, substitute
+from md_reference import pair_loop, search_md_parallel_shape_reference
 
 
 def test_contribution_gap_over_all_small_candidates():
@@ -38,6 +45,57 @@ def test_contribution_gap_over_all_small_candidates():
 
 def test_no_parallel_shape_witness_small():
     assert search_md_parallel_shape(2, ("a", "b")) is None
+
+
+@pytest.mark.parametrize(
+    "names,size_bound",
+    [(("a", "b"), n) for n in range(4)] + [(("a", "b", "c"), n) for n in range(3)],
+)
+def test_parallel_shape_join_matches_the_pair_loop(names, size_bound):
+    assert search_md_parallel_shape(size_bound, names) == search_md_parallel_shape_reference(
+        size_bound, names
+    )
+
+
+def normal_forms(moves):
+    """The nf and nf_act tables of a move list, as the search builds them."""
+    labels = {a for a, _, _ in moves}
+    nf = {s1: normalize(s1) for _, _, s1 in moves}
+    nf_act = {(a, s): normalize(Act(a, s)) for a in labels for _, s, _ in moves}
+    return nf, nf_act
+
+
+A, B, COA = Prefix("a"), Prefix("b"), Prefix("a", co=True)
+a0, b0, coa0 = Act(A, NIL), Act(B, NIL), Act(COA, NIL)
+
+
+def test_join_returns_the_first_witness():
+    # moves made up, not derived: (0, 1), (0, 2) and (1, 0) are witnesses;
+    # the first move is the outer one, and the second the earliest, though
+    # its label 'b' sorts after the label 'a of move 2
+    moves = [(A, NIL, Par((b0, coa0))), (B, NIL, Par((a0, coa0))), (COA, NIL, Par((a0, b0)))]
+    w = first_mirrored_pair(moves, *normal_forms(moves))
+    assert w == pair_loop(moves, *normal_forms(moves))
+    assert (w.eta1, w.s1, w.eta2, w.t1) == (A, Par((b0, coa0)), B, Par((a0, coa0)))
+
+
+def test_join_matches_the_pair_loop_on_made_up_moves():
+    # few labels and residuals, so that about a fifth of the lists hold
+    # a witness; a.a.0 normalizes to a.0 | a.0, so nf_act is not always
+    # a single component
+    residuals = [NIL, a0, b0, coa0, Par((a0, b0)), Par((a0, coa0)), Par((b0, coa0))]
+    rng = random.Random(8)
+    found = 0
+    for _ in range(300):
+        moves = [
+            (rng.choice([A, B, COA]), rng.choice([NIL, NIL, a0]), rng.choice(residuals))
+            for _ in range(rng.randint(4, 10))
+        ]
+        nf, nf_act = normal_forms(moves)
+        w = pair_loop(moves, nf, nf_act)
+        assert first_mirrored_pair(moves, nf, nf_act) == w
+        found += w is not None
+    assert found >= 50
 
 
 def test_no_diagram_witness_sum_free():

@@ -129,6 +129,38 @@ def test_constructors_yield_canonical_nodes(t):
     assert is_canonical(t)
 
 
+def measures_by_recursion(t):
+    """(pi_size, free_names) of t written as a walk, apart from the stored
+    measures."""
+
+    def ref(r):
+        return {r.name} if isinstance(r, FreeName) else set()
+
+    match t:
+        case PiInput(chan=c, body=b):
+            n, fn = measures_by_recursion(b)
+            return n + 1, fn | ref(c)
+        case PiOutput(chan=c, payload=p, body=b):
+            n, fn = measures_by_recursion(b)
+            return n + 1, fn | ref(c) | ref(p)
+        case PiNu(body=b):
+            return measures_by_recursion(b)
+        case PiPar(parts=ps):
+            each = [measures_by_recursion(p) for p in ps]
+            return sum(n for n, _ in each), set().union(*(fn for _, fn in each))
+    return 0, set()
+
+
+def test_stored_measures_over_the_small_universe():
+    for t in pi_terms_upto(3, 1, ("a", "b")):
+        assert (pi_size(t), free_names(t)) == measures_by_recursion(t)
+
+
+@given(raw_pi_st())
+def test_stored_measures_on_open_terms(t):
+    assert (pi_size(t), free_names(t)) == measures_by_recursion(t)
+
+
 def test_nodes_are_immutable():
     t = parse_pi("(nu p)(p(x).0 | a<p>.0)")
     for node, attr in ((t, "body"), (t.body, "parts"), (PI_NIL, "x")):

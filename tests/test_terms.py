@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from canonical_form import is_canonical
+from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
 from ccspi.terms import (
     NIL,
     Act,
@@ -172,6 +173,50 @@ def test_size_undefined_on_open_terms():
         size(Var("X"))
     with pytest.raises(ValueError):
         contribution(Par([a0, Var("X")]), A)
+
+
+def size_by_recursion(t):
+    """The size measure written as a walk, apart from the stored one."""
+    match t:
+        case Nil():
+            return 0
+        case Act(cont=c):
+            return 1 + size_by_recursion(c)
+        case Par(parts=ps) | Sum(parts=ps):
+            return sum(size_by_recursion(p) for p in ps)
+        case Var():
+            raise ValueError("open term")
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [
+        lambda: ccs_terms_upto(5, prefix_alphabet(("a", "b"))),
+        lambda: ccs_plus_terms_upto(3, prefix_alphabet(("a", "b"))),
+    ],
+    ids=["ccs-5", "ccs+-3"],
+)
+def test_stored_size_is_the_recursive_size(universe):
+    for t in universe():
+        assert size(t) == size_by_recursion(t)
+
+
+@given(raw_term_st())
+def test_stored_size_on_open_terms(t):
+    assert is_ground(t) == (not variables(t))
+    if not variables(t):
+        assert size(t) == size_by_recursion(t)
+    else:
+        with pytest.raises(ValueError):
+            size(t)
+
+
+def test_size_of_a_deep_chain():
+    # read from the node, so no walk meets the recursion limit
+    t = NIL
+    for i in range(5000):
+        t = Act(A if i % 2 else B, t)
+    assert size(t) == 5000
 
 
 def test_contribution_counts_headed_components():
