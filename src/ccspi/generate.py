@@ -238,11 +238,15 @@ def random_ccs_open(rng: random.Random, max_size: int, var_names: tuple[str, ...
 def random_pi(rng: random.Random, max_prefixes: int, max_nus: int,
               frees: tuple[str, ...]) -> PiTerm:
     """A closed canonical pi term within the prefix/restriction budgets."""
+    # the name references usable under each number of enclosing binders
+    refs: list[NameRef] = [FreeName(n) for n in frees]
+    channels_at: list[list[NameRef]] = [refs]
+    for k in range(max_prefixes + max_nus):
+        refs = refs + [BoundName(k)]
+        channels_at.append(refs)
 
     def go(p_budget: int, v_budget: int, depth: int) -> PiTerm:
-        channels: list[NameRef] = [FreeName(n) for n in frees] + [
-            BoundName(k) for k in range(depth)
-        ]
+        channels = channels_at[depth]
         choices = ["nil"]
         if p_budget >= 1:
             choices += ["input", "output"] * 3

@@ -5,7 +5,11 @@ There is one structural operational semantics, the distributed one:
 `d_transitions` splits each residual into a local part (what the acting
 component becomes) and a concurrent part (everything that ran in parallel
 with it).  The interleaving `transitions` only rejoin the two parts, so the
-strong and distributed relations cannot drift apart.
+strong and distributed relations cannot drift apart.  On a parallel
+composition both read one enumeration of its moves (`_par_moves`): the
+distributed relation splits each move into its two parts, and the
+interleaving one joins each move into its target in one step, building one
+`Par` per move.
 
 The transition relation consumes one prefix per visible step and two per
 synchronisation, so every transition strictly decreases term size: reachable
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, size
 
@@ -63,30 +67,46 @@ def d_transitions(t: Term) -> frozenset[tuple[Action, Residual]]:
                 out |= d_transitions(s)
             return frozenset(out)
         case Par(parts=ps):
-            out = set()
-            part_ts = [d_transitions(p) for p in ps]
-            for i, ts in enumerate(part_ts):
-                rest = ps[:i] + ps[i + 1 :]
-                for a, (loc, con) in ts:
-                    out.add((a, (loc, Par(rest + (con,)))))
-            for i in range(len(ps)):
-                for j in range(i + 1, len(ps)):
-                    rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
-                    for a1, (l1, c1) in part_ts[i]:
-                        if isinstance(a1, Tau):
-                            continue
-                        comp = a1.complement()
-                        for a2, (l2, c2) in part_ts[j]:
-                            if a2 == comp:
-                                out.add((TAU, (Par((l1, l2)), Par(rest + (c1, c2)))))
-            return frozenset(out)
+            return frozenset(
+                (a, (locs[0] if len(locs) == 1 else Par(locs), Par(rest + cons)))
+                for a, rest, locs, cons in _par_moves(ps)
+            )
     raise TypeError(f"not a term: {t!r}")
+
+
+Move = tuple[Action, tuple[Term, ...], tuple[Term, ...], tuple[Term, ...]]
+
+
+def _par_moves(ps: tuple[Term, ...]) -> Iterator[Move]:
+    """Every move of the parallel components ps, as (action, rest, locals,
+    concurrents): the components that stay put, and the local and the
+    concurrent residuals of the one component that moves or of the two
+    that synchronise."""
+    part_ts = [d_transitions(p) for p in ps]
+    for i, ts in enumerate(part_ts):
+        rest = ps[:i] + ps[i + 1 :]
+        for a, (loc, con) in ts:
+            yield a, rest, (loc,), (con,)
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
+            for a1, (l1, c1) in part_ts[i]:
+                if isinstance(a1, Tau):
+                    continue
+                comp = a1.complement()
+                for a2, (l2, c2) in part_ts[j]:
+                    if a2 == comp:
+                        yield TAU, rest, (l1, l2), (c1, c2)
 
 
 @lru_cache(maxsize=None)
 def transitions(t: Term) -> frozenset[tuple[Action, Term]]:
     """One-step interleaving transitions of a ground canonical term: the
     distributed ones with local and concurrent residual rejoined."""
+    if isinstance(t, Par):
+        return frozenset(
+            (a, Par(rest + locs + cons)) for a, rest, locs, cons in _par_moves(t.parts)
+        )
     return frozenset((a, Par((loc, con))) for a, (loc, con) in d_transitions(t))
 
 

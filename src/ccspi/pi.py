@@ -10,6 +10,15 @@ process: structurally equal terms are one object.  The name references
 terms canonical: parallel composition is a flattened sorted multiset without
 Nil components, and a restriction whose name never occurs is dropped.
 
+Renaming walks (`open_binder`, `close_binder`, `pi_substitute` and the
+unused-binder shift in `PiNu`) read each node's stored dangling indices and
+free names, and return a subterm unchanged when it holds no reference they
+move.  Two memos keep renamings across calls: `open_binder` results per
+(node, name), and `pi_substitute` results per node and images of its free
+names at every level of the walk, so a subterm is renamed once for all
+substitutions that agree on its free names.  They share the game memo's
+lifetime: `clear_bisim_memo` empties all three.
+
 Transition residuals for input and bound-output actions are returned as
 bodies with the transmitted name still abstracted (dangling index 0); the
 bisimulation games decide how to instantiate them.  Instantiation names for
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .lts import refine_partition
 from .terms import Node, Record
@@ -57,19 +66,31 @@ def _unbind(indices: frozenset[int]) -> frozenset[int]:
     return frozenset(i - 1 for i in indices if i > 0)
 
 
+# each free-name set that some node has, with its sorted tuple; like the
+# intern tables it lives as long as the process, and it holds one entry per
+# distinct set, so nodes with equal free names share both objects
+_FREE_SETS: dict[frozenset[str], tuple[frozenset[str], tuple[str, ...]]] = {}
+
+
 class PiTerm(Node):
     """Base class for pi terms.  Every node records, once, the indices it
     references without binding them (see `dangling`), its size (see
-    `pi_size`) and its free names (see `free_names`)."""
+    `pi_size`) and its free names (see `free_names`), also as a sorted
+    tuple (`_names`, the order of a `pi_substitute` memo key)."""
 
-    __slots__ = ("_dangling", "_size", "_free")
+    __slots__ = ("_dangling", "_size", "_free", "_names")
     _table = {}
 
     def _derive(self) -> None:
         dangling, size, free = self._measures()
+        shared = _FREE_SETS.get(free)
+        if shared is None:
+            shared = _FREE_SETS[free] = (free, tuple(sorted(free)))
+        free, names = shared
         object.__setattr__(self, "_dangling", dangling)
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "_free", free)
+        object.__setattr__(self, "_names", names)
 
     def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
         """Dangling indices, prefix count and free names, from the fields."""
@@ -145,20 +166,15 @@ class PiPar(PiTerm):
 class PiNu(PiTerm):
     """Restriction; the body binds index 0.  The constructor drops a binder
     that is never referenced: (nu p)P = P when p is not free in P, and in
-    particular (nu p)0 = 0."""
+    particular (nu p)0 = 0.  Dropping it moves the body's indices above 0
+    down one, which is opening the binder with no reference to replace."""
 
     __slots__ = _fields = ("body",)
 
     def __new__(cls, body: PiTerm) -> PiTerm:
         if 0 in body._dangling:
             return cls._make(body)
-
-        def fn(r: NameRef, d: int) -> NameRef:
-            if isinstance(r, BoundName) and r.index > d:
-                return BoundName(r.index - 1)
-            return r
-
-        return _map_refs(body, fn)
+        return _open(body, 0, None)
 
     def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
         b = self.body
@@ -191,23 +207,6 @@ def pi_sort_key(t: PiTerm) -> tuple:
     raise TypeError(f"not a pi term: {t!r}")
 
 
-def _map_refs(t: PiTerm, fn: Callable[[NameRef, int], NameRef], depth: int = 0) -> PiTerm:
-    """Rebuild t applying fn to every name reference; fn receives the number
-    of binders between the reference and the top of t.  Canonical output."""
-    match t:
-        case PiNil():
-            return t
-        case PiInput(chan=c, body=b):
-            return PiInput(fn(c, depth), _map_refs(b, fn, depth + 1))
-        case PiOutput(chan=c, payload=p, body=b):
-            return PiOutput(fn(c, depth), fn(p, depth), _map_refs(b, fn, depth))
-        case PiPar(parts=ps):
-            return PiPar(_map_refs(p, fn, depth) for p in ps)
-        case PiNu(body=b):
-            return PiNu(_map_refs(b, fn, depth + 1))
-    raise TypeError(f"not a pi term: {t!r}")
-
-
 def dangling(t: PiTerm) -> frozenset[int]:
     """Indices referenced in t but not bound inside it, counted from t's top."""
     return t._dangling
@@ -222,46 +221,112 @@ def pi_size(t: PiTerm) -> int:
     return t._size
 
 
+# open_binder results by (node, name); pi_substitute results by the node
+# followed by the images of its sorted free names.  clear_bisim_memo
+# empties both.
+_OPEN_MEMO: dict[tuple[PiTerm, str], PiTerm] = {}
+_SUBST_MEMO: dict[tuple, PiTerm] = {}
+
+
+def _lower(r: NameRef, d: int, new: FreeName | None) -> NameRef:
+    if type(r) is BoundName and r.index >= d:
+        return new if r.index == d else BoundName(r.index - 1)
+    return r
+
+
+def _open(t: PiTerm, d: int, new: FreeName | None) -> PiTerm:
+    """t under d binders with index d replaced by `new` and the indices
+    above it moved down one; t itself when every dangling index is below d.
+    `new` is None only where t never references index d (see `PiNu`)."""
+    indices = t._dangling
+    if not indices or max(indices) < d:
+        return t
+    match t:
+        case PiInput(chan=c, body=b):
+            return PiInput(_lower(c, d, new), _open(b, d + 1, new))
+        case PiOutput(chan=c, payload=p, body=b):
+            return PiOutput(_lower(c, d, new), _lower(p, d, new), _open(b, d, new))
+        case PiPar(parts=ps):
+            return PiPar([_open(p, d, new) for p in ps])
+        case PiNu(body=b):
+            return PiNu(_open(b, d + 1, new))
+    raise TypeError(f"not a pi term: {t!r}")
+
+
 def open_binder(t: PiTerm, name: str) -> PiTerm:
     """Instantiate dangling index 0 with a free name (shifting the rest)."""
+    key = (t, name)
+    out = _OPEN_MEMO.get(key)
+    if out is None:
+        out = _OPEN_MEMO[key] = _open(t, 0, FreeName(name))
+    return out
 
-    def fn(r: NameRef, d: int) -> NameRef:
-        if isinstance(r, BoundName):
-            if r.index == d:
-                return FreeName(name)
-            if r.index > d:
-                return BoundName(r.index - 1)
-        return r
 
-    return _map_refs(t, fn)
+def _raise(r: NameRef, d: int, old: FreeName) -> NameRef:
+    if r is old:
+        return BoundName(d)
+    if type(r) is BoundName and r.index >= d:
+        return BoundName(r.index + 1)
+    return r
+
+
+def _close(t: PiTerm, d: int, old: FreeName) -> PiTerm:
+    """t under d binders with `old` replaced by index d and the indices from
+    d up moved up one; t itself when `old` is not free in t and every
+    dangling index is below d."""
+    indices = t._dangling
+    if old.name not in t._free and (not indices or max(indices) < d):
+        return t
+    match t:
+        case PiInput(chan=c, body=b):
+            return PiInput(_raise(c, d, old), _close(b, d + 1, old))
+        case PiOutput(chan=c, payload=p, body=b):
+            return PiOutput(_raise(c, d, old), _raise(p, d, old), _close(b, d, old))
+        case PiPar(parts=ps):
+            return PiPar([_close(p, d, old) for p in ps])
+        case PiNu(body=b):
+            return PiNu(_close(b, d + 1, old))
+    raise TypeError(f"not a pi term: {t!r}")
 
 
 def close_binder(t: PiTerm, name: str) -> PiTerm:
     """Abstract a free name into dangling index 0 (shifting the rest up)."""
+    return _close(t, 0, FreeName(name))
 
-    def fn(r: NameRef, d: int) -> NameRef:
-        if isinstance(r, FreeName) and r.name == name:
-            return BoundName(d)
-        if isinstance(r, BoundName) and r.index >= d:
-            return BoundName(r.index + 1)
-        return r
 
-    return _map_refs(t, fn)
+def _rename(t: PiTerm, moved: dict[str, str], refs: dict[NameRef, NameRef]) -> PiTerm:
+    """t with each free name that `moved` maps replaced by its image; t
+    itself when it holds none.  `refs` maps the references to replace to
+    their images; it is filled when the first node is rebuilt, once per
+    substitution."""
+    if t._free.isdisjoint(moved):
+        return t
+    key = (t, *[moved.get(n, n) for n in t._names])
+    out = _SUBST_MEMO.get(key)
+    if out is not None:
+        return out
+    if not refs:
+        refs.update((FreeName(n), FreeName(m)) for n, m in moved.items())
+    match t:
+        case PiInput(chan=c, body=b):
+            out = PiInput(refs.get(c, c), _rename(b, moved, refs))
+        case PiOutput(chan=c, payload=p, body=b):
+            out = PiOutput(refs.get(c, c), refs.get(p, p), _rename(b, moved, refs))
+        case PiPar(parts=ps):
+            out = PiPar([_rename(p, moved, refs) for p in ps])
+        case PiNu(body=b):
+            out = PiNu(_rename(b, moved, refs))
+        case _:
+            raise TypeError(f"not a pi term: {t!r}")
+    _SUBST_MEMO[key] = out
+    return out
 
 
 def pi_substitute(t: PiTerm, sigma: Mapping[str, str]) -> PiTerm:
     """Apply a free-name substitution; capture is impossible since bound
     names are positional.  Result canonical (components may reorder); t
     itself when sigma moves none of its free names."""
-    if all(sigma.get(n, n) == n for n in free_names(t)):
-        return t
-
-    def fn(r: NameRef, d: int) -> NameRef:
-        if isinstance(r, FreeName) and r.name in sigma:
-            return FreeName(sigma[r.name])
-        return r
-
-    return _map_refs(t, fn)
+    return _rename(t, {n: m for n, m in sigma.items() if n != m}, {})
 
 
 def fresh_marker(avoid: frozenset[str] | set[str]) -> str:
@@ -335,14 +400,16 @@ def late_transitions(t: PiTerm) -> frozenset[tuple[PiAction, PiTerm]]:
                 for j in range(len(ps)):
                     if i == j:
                         continue
-                    rest = tuple(p for k, p in enumerate(ps) if k not in (i, j))
                     for ai, ri in part_ts[i]:
                         if not isinstance(ai, InputAct):
                             continue
                         for aj, rj in part_ts[j]:
-                            if isinstance(aj, FreeOutAct) and aj.chan == ai.chan:
+                            if isinstance(aj, (InputAct, PiTauAct)) or aj.chan != ai.chan:
+                                continue
+                            rest = tuple(p for k, p in enumerate(ps) if k not in (i, j))
+                            if isinstance(aj, FreeOutAct):
                                 out.add((PI_TAU, PiPar((open_binder(ri, aj.payload), rj) + rest)))
-                            elif isinstance(aj, BoundOutAct) and aj.chan == ai.chan:
+                            else:
                                 out.add((PI_TAU, PiNu(PiPar((ri, rj) + rest))))
             return frozenset(out)
         case PiNu(body=b):
@@ -373,10 +440,13 @@ _BISIM_MEMO: dict[tuple[PiTerm, PiTerm, str], bool] = {}
 
 
 def clear_bisim_memo() -> None:
-    """Drop the shared game cache.  It grows with every game played; the pi
-    suites call this once, when they finish, so a suite leaves no positions
-    behind for the next one."""
+    """Drop the shared game cache and the two renaming memos of
+    `open_binder` and `pi_substitute`.  They grow with every game played and
+    every renaming; the pi suites call this once, when they finish, so a
+    suite leaves no positions or renamings behind for the next one."""
     _BISIM_MEMO.clear()
+    _OPEN_MEMO.clear()
+    _SUBST_MEMO.clear()
 
 
 def _labels(ts: frozenset[tuple[PiAction, PiTerm]]) -> frozenset[PiAction]:

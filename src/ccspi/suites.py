@@ -450,6 +450,7 @@ def erasure_random(
     failures = [
         f"correspondence failed: {print_pi(p)}" for p, ok in zip(terms, results) if not ok
     ]
+    clear_bisim_memo()
     return SuiteReport(
         "erasure-random",
         checked=count,

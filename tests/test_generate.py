@@ -17,6 +17,7 @@ from ccspi.generate import (
 )
 from canonical_form import is_canonical
 from ccspi.pi import dangling, pi_size
+from ccspi.syntax import print_pi
 from ccspi.terms import Prefix, is_ground, size, variables
 
 
@@ -157,6 +158,69 @@ def test_random_generators_deterministic():
     a = [random_pi(random.Random(1), 4, 1, ("a", "b")) for _ in range(5)]
     b = [random_pi(random.Random(1), 4, 1, ("a", "b")) for _ in range(5)]
     assert a == b
+
+
+# printed by the generator that built a fresh channel list at every node
+FIRST_RANDOM_PI = [
+    'c<c>.(nu p)(a(x).b(x1).0 | a(x).a<p>.0)',
+    'a<a>.a<c>.0',
+    'c(x).0',
+    '(nu p)(b(x).(a(x1).c<p>.0 | p<c>.0) | b<b>.0 | c<a>.0)',
+    'c<b>.0',
+    'c<a>.b(x).(c(x1).0 | x(x1).c<b>.0)',
+    'c(x).b(x1).x<a>.c(x2).x(x3).c(x4).0',
+    'a(x).x<b>.(nu p)(b(x1).0 | a<p>.b<x>.x(x1).0)',
+    'a<a>.(nu p)((nu p1)(c<p>.p1<c>.0))',
+    'b<b>.c<c>.c(x).a(x1).0',
+    'a(x).(c(x1).b<b>.0 | (nu p)(a(x1).(b<p>.0 | x<x>.0)))',
+    'a<c>.0',
+    'b(x).0 | b<a>.0 | c<b>.c<b>.b<b>.c(x).0',
+    'b(x).b(x1).x(x2).a(x3).x3(x4).a<x4>.0',
+    'b(x).a<c>.(nu p)(p(x1).0)',
+    '0',
+    'b(x).b(x1).0 | b<b>.c<a>.0',
+    'a(x).a(x1).0',
+    '0',
+    '0',
+    '0',
+    'a(x).0',
+    'b<b>.a<a>.c(x).x(x1).a(x2).x(x3).0',
+    'c(x).c(x1).x1<b>.a<c>.a<b>.a(x2).0',
+    'c<c>.(a<c>.0 | (nu p)(b(x).b<a>.p<p>.c<x>.0))',
+    'c<c>.b(x).a(x1).c(x2).c<x>.x1(x3).0',
+    'c<c>.c(x).b(x1).x1<c>.c(x2).0',
+    '(nu p)(b(x).0 | c(x).0 | (nu p1)(p1(x).0 | p(x).p1<x>.0))',
+    'a<a>.b<b>.0 | a<c>.0',
+    '0',
+    'c(x).(b(x1).(c<c>.0 | c<x1>.0) | c(x1).0 | c(x1).0)',
+    'a<c>.b<a>.b<b>.b(x).c(x1).x1<a>.0',
+    '0',
+    '0',
+    'c(x).(nu p)(p<c>.c<b>.x<c>.(nu p1)(x<p1>.0))',
+    'b(x).a(x1).0 | a<a>.(nu p)(p(x).(c(x1).0 | b<c>.0))',
+    'c<b>.(b(x).x(x1).0 | c(x).0)',
+    'b<b>.b(x).x(x1).(b(x2).0 | x<x1>.0)',
+    'a(x).0 | a<a>.(a(x).0 | a(x).0 | b(x).0) | c<b>.0',
+    '0',
+    'c(x).0',
+    'b<a>.a<a>.b(x).0',
+    'b(x).(a(x1).0 | c(x1).0 | b<a>.x(x1).0)',
+    'a(x).(x<a>.0 | (nu p)(a(x1).(b(x2).c(x3).0 | a<p>.0)))',
+    'b(x).0',
+    '0',
+    'a<a>.a<c>.0',
+    'c(x).x<a>.b(x1).(a(x2).0 | x(x2).a(x3).0)',
+    'c<b>.a(x).a<c>.x<b>.0',
+    'a<a>.0 | a<c>.0 | b<a>.0',
+]
+
+
+def test_random_pi_keeps_its_sequence():
+    """The suites' random pi inputs stay the same: the generator makes the
+    same rng calls in the same order for a fixed seed."""
+    rng = random.Random(20250825)
+    got = [print_pi(random_pi(rng, 6, 2, ("a", "b", "c"))) for _ in range(50)]
+    assert got == FIRST_RANDOM_PI
 
 
 def test_all_substitutions():

@@ -14,6 +14,7 @@ from ccspi.lts import (
     action_key,
     bisimilar_oracle,
     bisimulation_blocks,
+    d_transitions,
     distinguishing_depth,
     reachable_states,
     refine_partition,
@@ -65,8 +66,21 @@ def test_transitions_sum():
 
 
 def test_transitions_reject_open_terms():
-    with pytest.raises(ValueError):
-        transitions(Var("X"))
+    a, co_a = Act(Prefix("a"), NIL), Act(Prefix("a", co=True), NIL)
+    for t in (Var("X"), Par((Var("X"), a)), Par((a, co_a, Var("X")))):
+        with pytest.raises(ValueError):
+            transitions(t)
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [ccs_terms_upto(5, AB), ccs_plus_terms_upto(3, AB)],
+    ids=["sum-free-size-5", "ccs-plus-size-3"],
+)
+def test_transitions_join_the_distributed_ones(universe):
+    for t in universe:
+        joined = {(a, Par((loc, con))) for a, (loc, con) in d_transitions(t)}
+        assert transitions(t) == joined, t
 
 
 def test_tau_sorts_after_visible_actions():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from canonical_form import is_canonical
 from ccspi.generate import pi_terms_upto, random_pi
+import pi_reference
 from ccspi.pi import (
     PI_NIL,
     BoundName,
@@ -23,6 +24,7 @@ from ccspi.pi import (
     PiPar,
     PiTauAct,
     classify_transitions,
+    clear_bisim_memo,
     close_binder,
     dangling,
     early_bisim,
@@ -100,6 +102,69 @@ def test_pi_substitute():
     t = parse_pi("a(x).b<a>.0")
     assert pi_substitute(t, {"b": "a"}) == parse_pi("a(x).a<a>.0")
     assert pi_substitute(t, {}) == t
+
+
+def _subterms(t, out):
+    """Every subterm of t, open bodies included, into the dict out."""
+    if t not in out:
+        out[t] = None
+        match t:
+            case PiPar(parts=kids):
+                pass
+            case PiInput(body=b) | PiOutput(body=b) | PiNu(body=b):
+                kids = (b,)
+            case _:
+                kids = ()
+        for k in kids:
+            _subterms(k, out)
+    return out
+
+
+def _renaming_inputs():
+    found = {}
+    for t in pi_terms_upto(3, 1, ("a", "b")) + pi_terms_upto(2, 2, ("a", "b", "c")):
+        _subterms(t, found)
+    rng = random.Random(90)
+    for _ in range(2000):
+        _subterms(random_pi(rng, 6, 3, ("a", "b", "c")), found)
+    return list(found)
+
+
+RENAMINGS = {
+    "open": (open_binder, pi_reference.open_binder),
+    "close": (close_binder, pi_reference.close_binder),
+    "substitute": (pi_substitute, pi_reference.pi_substitute),
+    "drop binder": (lambda t, _: PiNu(t), lambda t, _: pi_reference.drop_unused_binder(t)),
+}
+
+
+def test_renaming_walks_match_the_generic_walk():
+    """open_binder, close_binder, pi_substitute and the unused-binder shift
+    return the node that the rebuild-everything walk returns, through fresh
+    walks and through memo hits alike."""
+    rng = random.Random(91)
+    targets = ("a", "b", "c", "d", "#0")
+    inputs = _renaming_inputs()
+    cases = []
+    for t in inputs:
+        free = sorted(free_names(t)) or ["a"]
+        for name in (free[0], "e", "#1"):
+            cases += [("open", t, name), ("close", t, name)]
+        # names outside fn(t), and maps that identify names
+        for _ in range(2):
+            sigma = {n: rng.choice(targets) for n in rng.sample(("a", "b", "c", "d"), 3)}
+            cases.append(("substitute", t, sigma))
+        if 0 not in dangling(t):
+            cases.append(("drop binder", t, None))
+    expected = [RENAMINGS[op][1](t, arg) for op, t, arg in cases]
+    clear_bisim_memo()
+    for _ in ("fresh walks", "memo hits"):
+        for (op, t, arg), want in zip(cases, expected):
+            assert RENAMINGS[op][0](t, arg) is want, (op, t, arg)
+    for t in inputs[:2000]:
+        opened = open_binder(t, "#1")
+        assert close_binder(opened, "#1") is pi_reference.close_binder(opened, "#1")
+    clear_bisim_memo()
 
 
 @given(pi_st())
