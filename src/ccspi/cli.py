@@ -328,31 +328,30 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_norm)
     p_norm.set_defaults(fn=cmd_normalize)
 
-    for cmd, style_default in (("bisim", None), ("dsim", "distributed")):
-        p_bis = sub.add_parser(
-            cmd,
-            help="decide equivalence of two terms"
-            if cmd == "bisim"
-            else "decide distributed bisimilarity (bisim --calculus ccs+ --style distributed)",
-        )
-        p_bis.add_argument("p")
-        p_bis.add_argument("q")
-        p_bis.add_argument(
-            "--calculus",
-            choices=("ccs", "ccs+", "pi"),
-            default="ccs" if cmd == "bisim" else "ccs+",
-        )
-        p_bis.add_argument("--method", choices=("norm", "oracle", "both"))
-        p_bis.add_argument(
-            "--style", choices=("strong", "distributed", "ground", "late", "early")
-        )
-        p_bis.add_argument(
-            "--depth",
-            action="store_true",
-            help="report the number of game rounds needed to tell the terms apart",
-        )
-        add_format(p_bis)
-        p_bis.set_defaults(fn=cmd_bisim, style=style_default)
+    p_bis = sub.add_parser("bisim", help="decide equivalence of two terms")
+    p_bis.add_argument("p")
+    p_bis.add_argument("q")
+    p_bis.add_argument("--calculus", choices=("ccs", "ccs+", "pi"), default="ccs")
+    p_bis.add_argument("--method", choices=("norm", "oracle", "both"))
+    p_bis.add_argument("--style", choices=("strong", "distributed", "ground", "late", "early"))
+    p_bis.add_argument(
+        "--depth",
+        action="store_true",
+        help="report the number of game rounds needed to tell the terms apart",
+    )
+    add_format(p_bis)
+    p_bis.set_defaults(fn=cmd_bisim)
+
+    p_dsim = sub.add_parser(
+        "dsim",
+        help="decide distributed bisimilarity (bisim --calculus ccs+ --style distributed)",
+    )
+    p_dsim.add_argument("p")
+    p_dsim.add_argument("q")
+    add_format(p_dsim)
+    p_dsim.set_defaults(
+        fn=cmd_bisim, calculus="ccs+", style="distributed", method=None, depth=False
+    )
 
     p_prime = sub.add_parser("prime", help="prime decomposition of a ground sum-free term")
     p_prime.add_argument("term")
@@ -392,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "subcommand", None) == "dsim":
-        args.calculus = "ccs+"
-        args.style = "distributed"
     try:
         return args.fn(args)
     except ParseError as e:

@@ -52,30 +52,56 @@ def _partitions(n: int, max_parts: int | None = None, least: int = 1) -> list[tu
 
 
 @lru_cache(maxsize=None)
-def ccs_prefixed_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
+def _prefixed_of_size(n: int, alphabet: tuple[Prefix, ...], sums: bool) -> tuple[Term, ...]:
     if n == 0:
         return ()
     return tuple(
         sorted(
-            (Act(p, t) for p in alphabet for t in ccs_terms_of_size(n - 1, alphabet)),
+            (Act(p, t) for p in alphabet for t in _terms_of_size(n - 1, alphabet, sums)),
             key=sort_key,
         )
     )
 
 
 @lru_cache(maxsize=None)
-def ccs_terms_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
-    """All canonical sum-free ground terms with exactly n prefixes."""
-    if n == 0:
-        return (NIL,)
-    found: set[Term] = set(ccs_prefixed_of_size(n, alphabet))
+def _components_of_size(n: int, alphabet: tuple[Prefix, ...], sums: bool) -> tuple[Term, ...]:
+    """The parallel components with exactly n prefixes: the prefixed terms
+    and, with sums, the sums of >= 2 distinct prefixed terms (idempotence
+    collapses duplicate summands, which would change the size)."""
+    prefixed = _prefixed_of_size(n, alphabet, sums)
+    if not sums:
+        return prefixed
+    found: set[Term] = set(prefixed)
     for parts in _partitions(n):
         if len(parts) < 2:
             continue
-        pools = [ccs_prefixed_of_size(k, alphabet) for k in parts]
+        pools = [_prefixed_of_size(k, alphabet, sums) for k in parts]
+        for combo in product(*pools):
+            t = Sum(combo)
+            if isinstance(t, Sum) and size(t) == n:
+                found.add(t)
+    return tuple(sorted(found, key=sort_key))
+
+
+@lru_cache(maxsize=None)
+def _terms_of_size(n: int, alphabet: tuple[Prefix, ...], sums: bool) -> tuple[Term, ...]:
+    """All canonical ground terms with exactly n prefixes, with guarded
+    sums or sum-free."""
+    if n == 0:
+        return (NIL,)
+    found: set[Term] = set(_components_of_size(n, alphabet, sums))
+    for parts in _partitions(n):
+        if len(parts) < 2:
+            continue
+        pools = [_components_of_size(k, alphabet, sums) for k in parts]
         for combo in product(*pools):
             found.add(Par(combo))
     return tuple(sorted(found, key=sort_key))
+
+
+def ccs_terms_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
+    """All canonical sum-free ground terms with exactly n prefixes."""
+    return _terms_of_size(n, alphabet, False)
 
 
 def ccs_terms_upto(n: int, alphabet: tuple[Prefix, ...]) -> list[Term]:
@@ -85,57 +111,10 @@ def ccs_terms_upto(n: int, alphabet: tuple[Prefix, ...]) -> list[Term]:
     return out
 
 
-@lru_cache(maxsize=None)
-def ccs_plus_guarded_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
-    """Prefixed terms and sums of >= 2 distinct prefixed terms (idempotence
-    collapses duplicate summands, which would change the size)."""
-    if n == 0:
-        return ()
-    found: set[Term] = set(
-        Act(p, t) for p in alphabet for t in ccs_plus_terms_of_size(n - 1, alphabet)
-    )
-    for parts in _partitions(n):
-        if len(parts) < 2:
-            continue
-        pools = [ccs_plus_guarded_prefixed(k, alphabet) for k in parts]
-        for combo in product(*pools):
-            t = Sum(combo)
-            if isinstance(t, Sum) and size(t) == n:
-                found.add(t)
-    return tuple(sorted(found, key=sort_key))
-
-
-@lru_cache(maxsize=None)
-def ccs_plus_guarded_prefixed(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
-    if n == 0:
-        return ()
-    return tuple(
-        sorted(
-            (Act(p, t) for p in alphabet for t in ccs_plus_terms_of_size(n - 1, alphabet)),
-            key=sort_key,
-        )
-    )
-
-
-@lru_cache(maxsize=None)
-def ccs_plus_terms_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
-    """All canonical guarded-sum terms with exactly n prefixes."""
-    if n == 0:
-        return (NIL,)
-    found: set[Term] = set(ccs_plus_guarded_of_size(n, alphabet))
-    for parts in _partitions(n):
-        if len(parts) < 2:
-            continue
-        pools = [ccs_plus_guarded_of_size(k, alphabet) for k in parts]
-        for combo in product(*pools):
-            found.add(Par(combo))
-    return tuple(sorted(found, key=sort_key))
-
-
 def ccs_plus_terms_upto(n: int, alphabet: tuple[Prefix, ...]) -> list[Term]:
     out: list[Term] = []
     for k in range(n + 1):
-        out.extend(ccs_plus_terms_of_size(k, alphabet))
+        out.extend(_terms_of_size(k, alphabet, True))
     return out
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
-from .lts import Tau, bisimilar_oracle, transitions
+from .lts import Tau, bisimilar_oracle, d_transitions, transitions
 from .rewrite import decide_bisim, normalize
-from .terms import NIL, Act, Par, Prefix, Sum, Term, parallel_components, sort_key
+from .terms import NIL, Act, Par, Prefix, Term, parallel_components, sort_key
 
 Equivalence = Callable[[Term, Term], bool]
 
@@ -109,12 +109,11 @@ def first_mirrored_pair(
 
 
 # --------------------------------------------------------------------------
-# diagram shape: two-step firings in both orders, tracked by occurrence
+# diagram shape: two-step firings in both orders, the second under the first
 
 
 @dataclass(frozen=True)
 class DiagramMdWitness:
-    calculus: str
     q: Term
     eta1: Prefix
     eta2: Prefix
@@ -122,74 +121,23 @@ class DiagramMdWitness:
     end_second: Term  # after eta2 then eta1 (second fired under the first)
 
 
-def _label_term(t: Term, counter: list[int]):
-    """Mirror of the canonical term with a unique id on every prefix node:
-    ('act', id, prefix, cont) / ('par'|'sum', children) / ('nil',)."""
-    match t:
-        case Act(prefix=p, cont=c):
-            node_id = counter[0]
-            counter[0] += 1
-            return ("act", node_id, p, _label_term(c, counter))
-        case Par(parts=ps):
-            return ("par", tuple(_label_term(p, counter) for p in ps))
-        case Sum(parts=ps):
-            return ("sum", tuple(_label_term(p, counter) for p in ps))
-        case _:
-            return ("nil",)
+def _nested_firings(q: Term) -> list[tuple[Prefix, Prefix, Term]]:
+    """Every visible two-step firing q -eta1-> . -eta2-> end whose second
+    prefix occurs under the first, as sorted (eta1, eta2, end) triples.
 
-
-def _prefix_ids(lt) -> frozenset[int]:
-    match lt:
-        case ("act", node_id, _, cont):
-            return _prefix_ids(cont) | {node_id}
-        case ("par", children) | ("sum", children):
-            return frozenset().union(*(_prefix_ids(c) for c in children)) if children else frozenset()
-        case _:
-            return frozenset()
-
-
-def _under_map(lt, acc: dict) -> None:
-    """For each prefix occurrence, the ids nested inside its continuation."""
-    match lt:
-        case ("act", node_id, _, cont):
-            acc[node_id] = _prefix_ids(cont)
-            _under_map(cont, acc)
-        case ("par", children) | ("sum", children):
-            for c in children:
-                _under_map(c, acc)
-
-
-def _ltransitions(lt) -> list[tuple[Prefix, int, object]]:
-    """Visible firings of a labelled term, keeping all other ids intact."""
-    match lt:
-        case ("act", node_id, p, cont):
-            return [(p, node_id, cont)]
-        case ("sum", children):
-            out = []
-            for c in children:
-                out.extend(_ltransitions(c))
-            return out
-        case ("par", children):
-            out = []
-            for i, c in enumerate(children):
-                rest = children[:i] + children[i + 1 :]
-                for p, node_id, res in _ltransitions(c):
-                    out.append((p, node_id, ("par", rest + (res,))))
-            return out
-        case _:
-            return []
-
-
-def _strip(lt) -> Term:
-    match lt:
-        case ("act", _, p, cont):
-            return Act(p, _strip(cont))
-        case ("par", children):
-            return Par(_strip(c) for c in children)
-        case ("sum", children):
-            return Sum(_strip(c) for c in children)
-        case _:
-            return NIL
+    The local residual of a visible distributed step is the continuation of
+    the fired prefix, so the second prefix fires from under the first
+    exactly when it is a visible move of that residual; the end state
+    rejoins the move's target with the concurrent residual.  The set is
+    sorted because frozenset order follows memory addresses."""
+    found: set[tuple[Prefix, Prefix, Term]] = set()
+    for eta1, (cont, rest) in d_transitions(q):
+        if isinstance(eta1, Tau):
+            continue
+        for eta2, res in transitions(cont):
+            if not isinstance(eta2, Tau):
+                found.add((eta1, eta2, Par((res, rest))))
+    return sorted(found, key=lambda f: (f[0], f[1], sort_key(f[2])))
 
 
 def diagram_md_at(calculus: str, q: Term) -> DiagramMdWitness | None:
@@ -197,20 +145,13 @@ def diagram_md_at(calculus: str, q: Term) -> DiagramMdWitness | None:
     q -eta1-> . -eta2-> and q -eta2-> . -eta1->, each second prefix occurring
     syntactically under the first fired prefix, with equivalent end states."""
     equiv = _default_equiv(calculus)
-    lt = _label_term(q, [0])
-    under: dict[int, frozenset[int]] = {}
-    _under_map(lt, under)
-    seqs: list[tuple[Prefix, Prefix, Term]] = []
-    for p1, id1, lt1 in _ltransitions(lt):
-        for p2, id2, lt2 in _ltransitions(lt1):
-            if id2 in under[id1]:
-                seqs.append((p1, p2, _strip(lt2)))
-    for eta1, eta2, end1 in seqs:
+    firings = _nested_firings(q)
+    for eta1, eta2, end1 in firings:
         if eta1 == eta2:
             continue
-        for b1, b2, end2 in seqs:
+        for b1, b2, end2 in firings:
             if b1 == eta2 and b2 == eta1 and equiv(end1, end2):
-                return DiagramMdWitness(calculus, q, eta1, eta2, end1, end2)
+                return DiagramMdWitness(q, eta1, eta2, end1, end2)
     return None
 
 

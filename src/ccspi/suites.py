@@ -62,7 +62,7 @@ from .terms import (
 class SuiteReport:
     name: str
     checked: int
-    elapsed: float
+    elapsed: float = 0.0
     failures: list[str] = field(default_factory=list)
     notes: str = ""
 
@@ -96,7 +96,6 @@ def nf_oracle_agreement(
     a block exactly when they share a normal form.  A seeded sample of pairs
     additionally runs both deciders directly.
     """
-    t0 = time.time()
     universe = ccs_terms_upto(size_bound, prefix_alphabet(name_pool))
     blocks = refine_partition(universe)
     failures: list[str] = []
@@ -126,8 +125,7 @@ def nf_oracle_agreement(
     return SuiteReport(
         "nf-oracle-agreement",
         checked=n * (n - 1) // 2 + sample,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
         notes=f"{n} terms, {len(block_to_nf)} classes = {len(nf_to_block)} normal forms",
     )
 
@@ -137,7 +135,6 @@ def nf_oracle_agreement(
 
 
 def replication_ladder(n_max: int = 10) -> SuiteReport:
-    t0 = time.time()
     failures: list[str] = []
     a0 = Act(Prefix("a"), NIL)
     for n in range(1, n_max + 1):
@@ -151,7 +148,6 @@ def replication_ladder(n_max: int = 10) -> SuiteReport:
     return SuiteReport(
         "replication-ladder",
         checked=n_max,
-        elapsed=time.time() - t0,
         failures=failures,
     )
 
@@ -166,7 +162,6 @@ def confluence_termination(
     """Explore the full reduction graph of every term in the universe: all
     maximal rewrite sequences end in one normal form, and every single step
     strictly decreases the nesting weight (so no sequence outlives it)."""
-    t0 = time.time()
     universe = ccs_terms_upto(size_bound, prefix_alphabet(name_pool))
     failures: list[str] = []
     edges = 0
@@ -193,8 +188,7 @@ def confluence_termination(
     return SuiteReport(
         "confluence-termination",
         checked=len(universe),
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
         notes=f"{edges} rewrite steps explored",
     )
 
@@ -213,7 +207,6 @@ def cancellation(size_bound: int = 5, name_pool: tuple[str, ...] = ("a", "b")) -
     cancellation violation); a violating triple would be recorded with the
     stored block representatives.
     """
-    t0 = time.time()
     universe = ccs_terms_upto(size_bound, prefix_alphabet(name_pool))
     blocks = refine_partition(universe)
     by_size: dict[int, list[Term]] = {}
@@ -247,8 +240,7 @@ def cancellation(size_bound: int = 5, name_pool: tuple[str, ...] = ("a", "b")) -
     return SuiteReport(
         "cancellation",
         checked=checked,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
         notes=f"{len(universe)} terms as r",
     )
 
@@ -260,7 +252,6 @@ def cancellation(size_bound: int = 5, name_pool: tuple[str, ...] = ("a", "b")) -
 def contribution_invariance(
     size_bound: int = 4, name_pool: tuple[str, ...] = ("a", "b")
 ) -> SuiteReport:
-    t0 = time.time()
     alphabet = prefix_alphabet(name_pool)
     universe = ccs_terms_upto(size_bound, alphabet)
     blocks = refine_partition(universe)
@@ -280,8 +271,7 @@ def contribution_invariance(
     return SuiteReport(
         "contribution-invariance",
         checked=pairs,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
         notes=f"{len(groups)} classes",
     )
 
@@ -295,7 +285,6 @@ def no_md_sumfree(
     diagram_size: int = 4,
     name_pool: tuple[str, ...] = ("a", "b"),
 ) -> SuiteReport:
-    t0 = time.time()
     failures: list[str] = []
     w = search_md_parallel_shape(component_size, name_pool)
     if w is not None:
@@ -308,7 +297,6 @@ def no_md_sumfree(
     return SuiteReport(
         "no-md-sumfree",
         checked=n_par + n_diag,
-        elapsed=time.time() - t0,
         failures=failures,
         notes=f"{n_par} component terms (all move pairs), {n_diag} diagram terms",
     )
@@ -319,7 +307,6 @@ def no_md_sumfree(
 
 
 def md_with_sums(diagram_size: int = 4, name_pool: tuple[str, ...] = ("a", "b")) -> SuiteReport:
-    t0 = time.time()
     failures: list[str] = []
     left = parse_ccs_plus("a.0 | 'b.0")
     right = parse_ccs_plus("a.'b.0 + 'b.a.0")
@@ -347,7 +334,6 @@ def md_with_sums(diagram_size: int = 4, name_pool: tuple[str, ...] = ("a", "b"))
     return SuiteReport(
         "md-with-sums",
         checked=4,
-        elapsed=time.time() - t0,
         failures=failures,
         notes="" if w is None else f"witness q = {print_ccs(w.q)}",
     )
@@ -370,7 +356,6 @@ def dsim_canonical(size_bound: int = 3, name_pool: tuple[str, ...] = ("a", "b"))
     """dsim holds between universe terms exactly when they are the same
     canonical form; the related pairs (all reflexive, as the first part
     establishes) stay related under every substitution over the names."""
-    t0 = time.time()
     universe = ccs_plus_terms_upto(size_bound, prefix_alphabet(name_pool))
     blocks = dsim_blocks(d_reachable(universe))
     groups: dict[int, list[Term]] = {}
@@ -394,8 +379,7 @@ def dsim_canonical(size_bound: int = 3, name_pool: tuple[str, ...] = ("a", "b"))
     return SuiteReport(
         "dsim-canonical",
         checked=checked,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
         notes=f"{len(universe)} terms, {len(groups)} dsim classes",
     )
 
@@ -409,7 +393,6 @@ def dsim_separation(size_bound: int = 3, name_pool: tuple[str, ...] = ("a", "b")
     dsim-matching of their components (with suite 8's result the related
     pairs are the reflexive ones; the matching still has to cope with
     repeated components)."""
-    t0 = time.time()
     universe = ccs_plus_terms_upto(size_bound, prefix_alphabet(name_pool))
     blocks = dsim_blocks(d_reachable(universe))
     failures: list[str] = []
@@ -425,8 +408,7 @@ def dsim_separation(size_bound: int = 3, name_pool: tuple[str, ...] = ("a", "b")
     return SuiteReport(
         "dsim-separation",
         checked=checked,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
     )
 
 
@@ -442,7 +424,6 @@ def erasure_random(
     observed: tuple[str, str] = ("a", "b"),
     seed: int = 20250825,
 ) -> SuiteReport:
-    t0 = time.time()
     ctx = ErasureContext(*observed)
     rng = random.Random(seed)
     terms = [random_pi(rng, max_prefixes, max_nus, frees) for _ in range(count)]
@@ -454,8 +435,7 @@ def erasure_random(
     return SuiteReport(
         "erasure-random",
         checked=count,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
     )
 
 
@@ -484,7 +464,6 @@ def pi_congruence(
     get the refinement's verdict in all three modes, and sampled pairs of a
     ground class must win the ground game and transfer to their erasures.
     """
-    t0 = time.time()
     universe = pi_terms_upto(max_prefixes, max_nus, frees)
     ctx = ErasureContext(frees[0], frees[1])
     sigmas = all_substitutions(frees, frees)
@@ -547,8 +526,7 @@ def pi_congruence(
     return SuiteReport(
         "pi-congruence",
         checked=checked,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
         notes=(
             f"{len(universe)} terms, {len(ground_classes)} ground classes, "
             f"{bis_pairs} bisimilar pairs covered"
@@ -566,7 +544,6 @@ def open_normalization(
     max_vars: int = 3,
     seed: int = 11,
 ) -> SuiteReport:
-    t0 = time.time()
     rng = random.Random(seed)
     var_pool = ("X", "Y", "Z", "W")[:max_vars] if max_vars <= 4 else tuple(
         f"X{i}" for i in range(max_vars)
@@ -585,8 +562,7 @@ def open_normalization(
     return SuiteReport(
         "open-normalization",
         checked=count,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
     )
 
 
@@ -607,7 +583,6 @@ def pi_subst_cases(
     if max_prefixes < 1:
         # a term needs a prefix to have a free name, so no term qualifies
         raise ValueError("pi-subst-cases needs max_prefixes >= 1")
-    t0 = time.time()
     rng = random.Random(seed)
     tasks = []
     for _ in range(count):
@@ -633,8 +608,7 @@ def pi_subst_cases(
     return SuiteReport(
         "pi-subst-cases",
         checked=n_transitions,
-        elapsed=time.time() - t0,
-        failures=failures[:10],
+        failures=failures,
         notes="cases " + ", ".join(f"{k}={v}" for k, v in sorted(case_counts.items())),
     )
 
@@ -661,10 +635,16 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 
 
 def run_suite(name: str, **overrides) -> SuiteReport:
+    """Run a registered suite with the overrides it takes, timed, keeping
+    its first ten failures."""
     fn = SUITES.get(name)
     if fn is None:
         known = ", ".join(sorted(SUITES))
         raise KeyError(f"unknown suite {name!r}; known suites: {known}")
     params = inspect.signature(fn).parameters
     kwargs = {k: v for k, v in overrides.items() if k in params and v is not None}
-    return fn(**kwargs)
+    t0 = time.time()
+    report = fn(**kwargs)
+    report.elapsed = time.time() - t0
+    del report.failures[10:]
+    return report

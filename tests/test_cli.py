@@ -103,6 +103,20 @@ def test_dsim_alias(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--calculus", "pi"], ["--style", "early"], ["--method", "norm"], ["--depth"]],
+    ids=["calculus", "style", "method", "depth"],
+)
+def test_dsim_takes_no_bisim_flags(capsys, flags):
+    # dsim fixes the calculus and style; these flags used to be accepted
+    # and then ignored, so a pi query answered as ccs+ with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["dsim", "a.0", "a.0", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_parser_is_shared_and_keeps_no_state(capsys):
     assert build_parser() is build_parser()
 

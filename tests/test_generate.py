@@ -103,9 +103,12 @@ def test_micro_counts_match_recurrence():
 
 
 def test_plus_counts_match_recurrence():
-    expected = _plus_counts(len(ALPHABET), 3)
+    expected = _plus_counts(len(ALPHABET), 4)
     got = ccs_plus_terms_upto(3, ALPHABET)
     assert len(got) == sum(expected[n] for n in range(4)) == 341
+    # size 4 is the first with sums over the partitions 2+2 and 3+1
+    got = ccs_plus_terms_upto(4, ALPHABET)
+    assert len(got) == sum(expected[n] for n in range(5)) == 3578
 
 
 def test_enumerations_are_canonical_and_deterministic():

@@ -7,10 +7,11 @@ import random
 import pytest
 
 from ccspi.distributed import dsim
-from ccspi.generate import ccs_terms_upto, prefix_alphabet
+from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
 from ccspi.lts import Tau, bisimilar_oracle, transitions
 from ccspi.mirrored import (
     DiagramMdWitness,
+    _nested_firings,
     diagram_md_at,
     first_mirrored_pair,
     search_md_diagram,
@@ -19,7 +20,12 @@ from ccspi.mirrored import (
 from ccspi.rewrite import normalize
 from ccspi.syntax import parse_ccs, parse_ccs_plus
 from ccspi.terms import NIL, Act, Par, Prefix, contribution, size, substitute
-from md_reference import pair_loop, search_md_parallel_shape_reference
+from md_reference import (
+    diagram_md_at_reference,
+    labelled_firings,
+    pair_loop,
+    search_md_parallel_shape_reference,
+)
 
 
 def test_contribution_gap_over_all_small_candidates():
@@ -96,6 +102,30 @@ def test_join_matches_the_pair_loop_on_made_up_moves():
         assert first_mirrored_pair(moves, nf, nf_act) == w
         found += w is not None
     assert found >= 50
+
+
+@pytest.mark.parametrize(
+    "calculus,names,size_bound,n_witnesses",
+    [
+        ("ccs", ("a", "b"), 4, 0),
+        ("ccs+", ("a", "b"), 4, 6),
+        ("ccs", ("a", "b", "c"), 3, 0),
+        ("ccs+", ("a", "b", "c"), 3, 0),
+    ],
+    ids=["ccs-ab-4", "ccs+-ab-4", "ccs-abc-3", "ccs+-abc-3"],
+)
+def test_diagram_firings_match_the_labelled_semantics(calculus, names, size_bound, n_witnesses):
+    # the firings read from lts are the labelled term's, and every term
+    # gets the same diagram witness, or none, from both; the six size-4
+    # witnesses are the sums eta1.eta2.0 + eta2.eta1.0
+    enumerate_ = ccs_terms_upto if calculus == "ccs" else ccs_plus_terms_upto
+    witnesses = 0
+    for q in enumerate_(size_bound, prefix_alphabet(names)):
+        assert set(_nested_firings(q)) == set(labelled_firings(q))
+        w = diagram_md_at(calculus, q)
+        assert w == diagram_md_at_reference(calculus, q)
+        witnesses += w is not None
+    assert witnesses == n_witnesses
 
 
 def test_no_diagram_witness_sum_free():
