@@ -40,8 +40,6 @@ from .pi import (
 )
 from .rewrite import (
     decide_bisim,
-    decide_extensional,
-    is_prime,
     normalize,
     normalize_steps,
     prime_decompose,

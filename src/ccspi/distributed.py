@@ -3,48 +3,30 @@ parallel components.
 
 Distributed bisimilarity refines over the distributed transitions of
 `lts.d_transitions`, requiring both the local and the concurrent residual
-to match.  On guarded-sum terms it coincides with structural congruence and,
-unlike strong bisimilarity, is closed under name substitutions.
+to match.  It uses the one exploration loop and the one signature of `lts`
+(`explore` and `refine_partition`) with `d_transitions` as the step: each
+move is a flat (action, local, concurrent) tuple, so both residuals are
+explored and both are replaced by their blocks.  On guarded-sum terms
+distributed bisimilarity coincides with structural congruence and, unlike
+strong bisimilarity, is closed under name substitutions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
-from .lts import d_transitions, refine_partition
+from .lts import d_transitions, explore, refine_partition
 from .terms import Term
 
 
-def d_reachable(roots: Iterable[Term]) -> dict[Term, frozenset]:
-    """Closure of the roots under both residual components, as the table
-    {state: d_transitions(state)} of every reachable state."""
-    steps: dict[Term, frozenset] = {}
-    todo = list(roots)
-    while todo:
-        s = todo.pop()
-        if s in steps:
-            continue
-        steps[s] = out = d_transitions(s)
-        for _, (loc, con) in out:
-            if loc not in steps:
-                todo.append(loc)
-            if con not in steps:
-                todo.append(con)
-    return steps
-
-
-def dsim_blocks(steps: Mapping[Term, frozenset]) -> dict:
-    """Partition refinement with pair signatures over a transition table
-    closed under both residuals, such as `d_reachable` returns: both
-    residual components must land in matching blocks."""
-    return refine_partition(
-        steps,
-        lambda s, block: frozenset((a, block[loc], block[con]) for a, (loc, con) in steps[s]),
-    )
+def dsim_blocks(roots: Iterable[Term]) -> dict:
+    """Distributed bisimilarity classes of every state reachable from the
+    roots through either residual."""
+    return refine_partition(explore(roots, d_transitions).items())
 
 
 def dsim(p: Term, q: Term) -> bool:
-    block = dsim_blocks(d_reachable([p, q]))
+    block = dsim_blocks([p, q])
     return block[p] == block[q]
 
 

@@ -131,7 +131,7 @@ def _nested_firings(q: Term) -> list[tuple[Prefix, Prefix, Term]]:
     rejoins the move's target with the concurrent residual.  The set is
     sorted because frozenset order follows memory addresses."""
     found: set[tuple[Prefix, Prefix, Term]] = set()
-    for eta1, (cont, rest) in d_transitions(q):
+    for eta1, cont, rest in d_transitions(q):
         if isinstance(eta1, Tau):
             continue
         for eta2, res in transitions(cont):

@@ -24,15 +24,20 @@ bodies with the transmitted name still abstracted (dangling index 0); the
 bisimulation games decide how to instantiate them.  Instantiation names for
 the games are drawn from a reserved namespace ("#0", "#1", ...) disjoint
 from source-level names.
+
+Besides the games for single pairs, `pi_blocks` gives the classes of a
+whole universe in each mode with the one exploration loop and the one
+signature that strong and distributed bisimilarity use (`lts.explore` and
+`lts.refine_partition`); only its step, `pi_step`, is the pi calculus's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .lts import refine_partition
+from .lts import explore, refine_partition
 from .terms import Node, Record
 
 
@@ -545,9 +550,10 @@ def early_bisim(p: PiTerm, q: PiTerm) -> bool:
 PiState = tuple[PiTerm, int]
 
 
-def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[PiState, int]:
-    """Ground, late or early bisimilarity classes of closed terms whose free
-    names lie in `frees`, as block ids of the states (t, 0) for t in roots.
+def pi_step(frees: Iterable[str], mode: str) -> Callable[[PiState], list[tuple]]:
+    """The step of ground, late or early bisimilarity over closed terms whose
+    free names lie in `frees`: the moves of a state, as flat tuples for
+    `explore`.
 
     A state (t, d) counts the binders d opened on the way to t: the free
     names of t lie in frees and #0..#d-1, so #d is fresh for it.  Free
@@ -555,46 +561,48 @@ def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[
     binder with #d at level d + 1.  Late and early inputs open it with every
     name of frees and #0..#d, and only #d raises the level: a name free in
     neither of two states acts as the fresh one does (equivariance), so these
-    cover every instantiation the games try.  A late input contributes one
-    tuple of blocks, one per name, for each residual; an early input one
-    (label, name, block) per name.  Every step consumes a prefix, so one
-    `refine_partition` pass ranked by `pi_size` decides every class."""
+    cover every instantiation the games try.  A late input is one move
+    (label, successor per name) for each residual, so one responder must
+    match every name at once; an early input is one move ((label, name),
+    successor) per name."""
     if mode not in ("ground", "late", "early"):
         raise ValueError(f"unknown mode {mode!r}")
-    allowed = frozenset(frees)
-    frees = sorted(allowed)
-    moves: dict[PiState, list[tuple]] = {}
-    todo: list[PiState] = []
-    for t in roots:
-        if not free_names(t) <= allowed or dangling(t):
-            raise ValueError(f"not a closed term over {frees}: {t!r}")
-        todo.append((t, 0))
-    while todo:
-        state = todo.pop()
-        if state in moves:
-            continue
+    frees = sorted(frees)
+
+    def step(state: PiState) -> list[tuple]:
         t, d = state
         fresh = f"#{d}"
         out: list[tuple] = []
         for a, res in late_transitions(t):
             if isinstance(a, (FreeOutAct, PiTauAct)):
-                out.append((a, ((res, d),)))
+                out.append((a, (res, d)))
             elif isinstance(a, BoundOutAct) or mode == "ground":
-                out.append((a, ((open_binder(res, fresh), d + 1),)))
+                out.append((a, (open_binder(res, fresh), d + 1)))
             else:
                 names = frees + [f"#{k}" for k in range(d + 1)]
-                insts = tuple((open_binder(res, n), d + (n == fresh)) for n in names)
+                insts = [(open_binder(res, n), d + (n == fresh)) for n in names]
                 if mode == "late":
-                    out.append((a, insts))
+                    out.append((a, *insts))
                 else:
-                    out.extend(((a, n), (st,)) for n, st in zip(names, insts))
-        moves[state] = out
-        todo.extend(st for _, succ in out for st in succ if st not in moves)
+                    out.extend(((a, n), st) for n, st in zip(names, insts))
+        return out
 
-    def sig(state: PiState, block: dict) -> frozenset:
-        return frozenset((a, tuple(block[st] for st in succ)) for a, succ in moves[state])
+    return step
 
-    return refine_partition(moves, sig, rank=lambda state: pi_size(state[0]))
+
+def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[PiState, int]:
+    """Ground, late or early bisimilarity classes of closed terms whose free
+    names lie in `frees`, as block ids of the states (t, 0) for t in roots.
+    Every step of `pi_step` consumes a prefix, so one `refine_partition`
+    pass ranked by `pi_size` decides every class."""
+    allowed = frozenset(frees)
+    step = pi_step(allowed, mode)
+    states = []
+    for t in roots:
+        if not free_names(t) <= allowed or dangling(t):
+            raise ValueError(f"not a closed term over {sorted(allowed)}: {t!r}")
+        states.append((t, 0))
+    return refine_partition(explore(states, step).items(), rank=lambda state: pi_size(state[0]))
 
 
 # --------------------------------------------------------------------------

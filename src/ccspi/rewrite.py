@@ -17,7 +17,6 @@ from collections import Counter
 from functools import lru_cache
 
 from .terms import (
-    NIL,
     Act,
     Nil,
     Par,
@@ -25,13 +24,9 @@ from .terms import (
     Sum,
     Term,
     Var,
-    fresh_names,
-    instantiate,
     is_ground,
-    names,
     parallel_components,
     sort_key,
-    variables,
 )
 
 
@@ -152,23 +147,3 @@ def prime_decompose(p: Term) -> tuple[Term, ...]:
     if not is_ground(p):
         raise ValueError("prime decomposition undefined on open terms")
     return parallel_components(normalize(p))
-
-
-def is_prime(p: Term) -> bool:
-    return len(prime_decompose(p)) == 1
-
-
-# --------------------------------------------------------------------------
-# open terms: extensional equality
-
-
-def decide_extensional(m: Term, n: Term) -> bool:
-    """Equality of open terms under every closing substitution.  Decided by
-    instantiating each variable with a.0 for fresh distinct names a and
-    comparing normal forms of the ground instances."""
-    vs = sorted(variables(m) | variables(n))
-    fresh = fresh_names(names(m) | names(n), len(vs))
-    inst = {v: Act(Prefix(f), NIL) for v, f in zip(vs, fresh)}
-    gm = instantiate(m, inst, require_ground=True)
-    gn = instantiate(n, inst, require_ground=True)
-    return decide_bisim(gm, gn)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .distributed import d_reachable, dsim, dsim_blocks, perfect_matching
+from .distributed import dsim, dsim_blocks, perfect_matching
 from .erasure import ErasureContext, check_erasure_transitions, erase, transfer_check
 from .generate import (
     all_substitutions,
@@ -25,7 +25,7 @@ from .generate import (
     random_ccs_open,
     random_pi,
 )
-from .lts import bisimilar_oracle, refine_partition, transitions
+from .lts import bisimilar_oracle, explore, refine_partition, transitions
 from .mirrored import diagram_md_at, search_md_diagram, search_md_parallel_shape
 from .pi import (
     PiTerm,
@@ -97,7 +97,7 @@ def nf_oracle_agreement(
     additionally runs both deciders directly.
     """
     universe = ccs_terms_upto(size_bound, prefix_alphabet(name_pool))
-    blocks = refine_partition(universe)
+    blocks = refine_partition(explore(universe, transitions).items())
     failures: list[str] = []
     nf_to_block: dict[Term, int] = {}
     block_to_nf: dict[int, Term] = {}
@@ -208,7 +208,7 @@ def cancellation(size_bound: int = 5, name_pool: tuple[str, ...] = ("a", "b")) -
     stored block representatives.
     """
     universe = ccs_terms_upto(size_bound, prefix_alphabet(name_pool))
-    blocks = refine_partition(universe)
+    blocks = refine_partition(explore(universe, transitions).items())
     by_size: dict[int, list[Term]] = {}
     for t in universe:
         by_size.setdefault(size(t), []).append(t)
@@ -254,7 +254,7 @@ def contribution_invariance(
 ) -> SuiteReport:
     alphabet = prefix_alphabet(name_pool)
     universe = ccs_terms_upto(size_bound, alphabet)
-    blocks = refine_partition(universe)
+    blocks = refine_partition(explore(universe, transitions).items())
     groups: dict[int, list[Term]] = {}
     for t in universe:
         groups.setdefault(blocks[t], []).append(t)
@@ -357,7 +357,7 @@ def dsim_canonical(size_bound: int = 3, name_pool: tuple[str, ...] = ("a", "b"))
     canonical form; the related pairs (all reflexive, as the first part
     establishes) stay related under every substitution over the names."""
     universe = ccs_plus_terms_upto(size_bound, prefix_alphabet(name_pool))
-    blocks = dsim_blocks(d_reachable(universe))
+    blocks = dsim_blocks(universe)
     groups: dict[int, list[Term]] = {}
     for t in universe:
         groups.setdefault(blocks[t], []).append(t)
@@ -394,7 +394,7 @@ def dsim_separation(size_bound: int = 3, name_pool: tuple[str, ...] = ("a", "b")
     pairs are the reflexive ones; the matching still has to cope with
     repeated components)."""
     universe = ccs_plus_terms_upto(size_bound, prefix_alphabet(name_pool))
-    blocks = dsim_blocks(d_reachable(universe))
+    blocks = dsim_blocks(universe)
     failures: list[str] = []
     checked = 0
     for t in universe:

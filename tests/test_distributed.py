@@ -2,20 +2,20 @@
 
 import pytest
 
-from ccspi.distributed import d_reachable, dsim, dsim_blocks, perfect_matching
-from ccspi.lts import TAU, bisimilar_oracle, d_transitions
+from ccspi.distributed import dsim, dsim_blocks, perfect_matching
+from ccspi.lts import TAU, bisimilar_oracle, d_transitions, explore
 from ccspi.syntax import parse_ccs, parse_ccs_plus
 from ccspi.terms import NIL, Prefix, Var, substitute
 
 
 def test_d_transitions_prefix_and_par():
     assert d_transitions(parse_ccs("a.b.0")) == frozenset(
-        {(Prefix("a"), (parse_ccs("b.0"), NIL))}
+        {(Prefix("a"), parse_ccs("b.0"), NIL)}
     )
     assert d_transitions(parse_ccs("a.0 | b.0")) == frozenset(
         {
-            (Prefix("a"), (NIL, parse_ccs("b.0"))),
-            (Prefix("b"), (NIL, parse_ccs("a.0"))),
+            (Prefix("a"), NIL, parse_ccs("b.0")),
+            (Prefix("b"), NIL, parse_ccs("a.0")),
         }
     )
     assert d_transitions(NIL) == frozenset()
@@ -23,22 +23,33 @@ def test_d_transitions_prefix_and_par():
 
 def test_d_transitions_sync_pairs_residuals():
     got = d_transitions(parse_ccs("a.b.0 | 'a.0"))
-    assert (TAU, (parse_ccs("b.0"), NIL)) in got
+    assert (TAU, parse_ccs("b.0"), NIL) in got
 
 
 def test_d_transitions_sum_and_errors():
     got = d_transitions(parse_ccs_plus("a.b.0 + 'a.0"))
     assert got == frozenset(
-        {(Prefix("a"), (parse_ccs("b.0"), NIL)), (Prefix("a", co=True), (NIL, NIL))}
+        {(Prefix("a"), parse_ccs("b.0"), NIL), (Prefix("a", co=True), NIL, NIL)}
     )
     with pytest.raises(ValueError):
         d_transitions(Var("X"))
 
 
-def test_d_reachable_closes_both_components():
-    states = d_reachable([parse_ccs("a.b.0 | c.0")])
-    assert parse_ccs("b.0") in states  # local residual
-    assert parse_ccs("c.0") in states  # concurrent residual
+def test_explore_closes_both_residuals():
+    # hand enumeration: a moves to local b.0 beside concurrent c.0, and c to
+    # local 0 beside concurrent a.b.0
+    table = explore([parse_ccs("a.b.0 | c.0")], d_transitions)
+    assert set(table) == {
+        parse_ccs("a.b.0 | c.0"),
+        parse_ccs("b.0"),  # local residual
+        parse_ccs("c.0"),  # concurrent residual
+        parse_ccs("a.b.0"),
+        NIL,
+    }
+    assert table[parse_ccs("a.b.0 | c.0")] == {
+        (Prefix("a"), parse_ccs("b.0"), parse_ccs("c.0")),
+        (Prefix("c"), NIL, parse_ccs("a.b.0")),
+    }
 
 
 def test_expansion_separates_local_from_concurrent():
@@ -71,7 +82,7 @@ def test_dsim_implies_strong():
 
 def test_dsim_blocks_consistent_with_dsim():
     terms = [parse_ccs_plus(s) for s in ["a.0", "a.0 + a.0", "a.b.0", "a.0 | b.0"]]
-    block = dsim_blocks(d_reachable(terms))
+    block = dsim_blocks(terms)
     assert block[terms[0]] == block[terms[1]]  # idempotence is syntactic here
     assert block[terms[2]] != block[terms[3]]
 

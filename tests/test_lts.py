@@ -6,21 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccspi.distributed import d_reachable, dsim_blocks
+from ccspi.distributed import dsim_blocks
 from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
 from ccspi.lts import (
     TAU,
     Tau,
-    action_key,
     bisimilar_oracle,
-    bisimulation_blocks,
     d_transitions,
     distinguishing_depth,
-    reachable_states,
+    explore,
     refine_partition,
     transitions,
 )
-from ccspi.syntax import parse_ccs, parse_ccs_plus
+from ccspi.pi import pi_step
+from ccspi.syntax import parse_ccs, parse_ccs_plus, parse_pi
 from ccspi.terms import NIL, Act, Par, Prefix, Var, size
 from refinement_reference import ks_depth, ks_partition, same_partition
 
@@ -79,13 +78,8 @@ def test_transitions_reject_open_terms():
 )
 def test_transitions_join_the_distributed_ones(universe):
     for t in universe:
-        joined = {(a, Par((loc, con))) for a, (loc, con) in d_transitions(t)}
+        joined = {(a, Par((loc, con))) for a, loc, con in d_transitions(t)}
         assert transitions(t) == joined, t
-
-
-def test_tau_sorts_after_visible_actions():
-    assert action_key(TAU) > action_key(Prefix("z", co=True))
-    assert isinstance(TAU, Tau)
 
 
 def _edges(states):
@@ -95,18 +89,67 @@ def _edges(states):
 def test_reachable_states_shape():
     # hand enumeration: a.0 | 'a.0 reaches three proper successors
     root = parse_ccs("a.0 | 'a.0")
-    states = reachable_states([root])
-    assert states == {root, parse_ccs("a.0"), parse_ccs("'a.0"), NIL}
-    edges = _edges(states)
+    table = explore([root], transitions)
+    assert set(table) == {root, parse_ccs("a.0"), parse_ccs("'a.0"), NIL}
+    # the table holds the cached moves themselves, not copies
+    assert all(table[s] is transitions(s) for s in table)
+    edges = _edges(table)
     assert len(edges) == 5
     assert (root, TAU, NIL) in edges
 
 
 def test_reachable_states_degenerate():
-    assert reachable_states([NIL]) == {NIL}
-    assert transitions(NIL) == frozenset()
-    states = reachable_states([parse_ccs("a.0")])
-    assert len(states) == 2 and len(_edges(states)) == 1
+    assert explore([NIL], transitions) == {NIL: frozenset()}
+    table = explore([parse_ccs("a.0")], transitions)
+    assert len(table) == 2 and len(_edges(table)) == 1
+
+
+def _reachable(roots, step):
+    """The states reachable from the roots, by a recursive walk apart from
+    the loop in `explore`."""
+    seen = set()
+
+    def visit(s):
+        if s not in seen:
+            seen.add(s)
+            for m in step(s):
+                for t in m[1:]:
+                    visit(t)
+
+    for r in roots:
+        visit(r)
+    return seen
+
+
+_PI_ROOTS = [
+    (parse_pi("(nu p)(a<p>.p(x).x<b>.0) | a(y).y(z).0"), 0),
+    (parse_pi("a(x).a(y).x<y>.0 | a<b>.b<a>.0"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "step,roots",
+    [
+        (transitions, [parse_ccs("a.0 | 'a.0 | a.b.0"), parse_ccs("a.a.0 | 'a.b.0")]),
+        (d_transitions, [parse_ccs_plus("(a.b.0 + 'b.0) | 'a.0 | b.0"), parse_ccs("a.a.0 | 'a.0")]),
+        (pi_step(("a", "b"), "ground"), _PI_ROOTS),
+        (pi_step(("a", "b"), "late"), _PI_ROOTS),
+        (pi_step(("a", "b"), "early"), _PI_ROOTS),
+    ],
+    ids=["strong", "distributed", "pi-ground", "pi-late", "pi-early"],
+)
+def test_explore_steps_each_reachable_state_once(step, roots):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return step(s)
+
+    table = explore(roots, counted)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(table) == _reachable(roots, step)
+    assert len(table) > len(roots)
+    assert all(set(table[s]) == set(step(s)) for s in table)
 
 
 @given(term_st())
@@ -143,7 +186,7 @@ def test_blocks_group_bisimilar_roots():
         parse_ccs("a.b.0"),
         parse_ccs("a.0 | b.0"),
     ]
-    block = bisimulation_blocks(roots)
+    block = refine_partition(explore(roots, transitions).items())
     assert block[roots[0]] == block[roots[1]]
     assert len({block[r] for r in roots}) == 3
 
@@ -171,23 +214,23 @@ def test_depth_agrees_with_oracle(p, q):
     ids=["sum-free-size-4", "ccs-plus-size-3"],
 )
 def test_refine_partition_matches_reference(universe):
-    states = reachable_states(universe)
-    assert same_partition(refine_partition(states), ks_partition(states, strong_sig), states)
+    table = explore(universe, transitions)
+    assert same_partition(refine_partition(table.items()), ks_partition(table, strong_sig), table)
 
 
 def test_dsim_blocks_match_reference():
-    steps = d_reachable(ccs_plus_terms_upto(3, AB))
+    block = dsim_blocks(ccs_plus_terms_upto(3, AB))
 
     def pair_sig(s, block):
-        return frozenset((a, block[loc], block[con]) for a, (loc, con) in steps[s])
+        return frozenset((a, block[loc], block[con]) for a, loc, con in d_transitions(s))
 
-    assert same_partition(dsim_blocks(steps), ks_partition(steps, pair_sig), steps)
+    assert same_partition(block, ks_partition(block, pair_sig), block)
 
 
 @given(st.lists(term_st(), min_size=1, max_size=4))
 def test_refine_partition_matches_reference_on_random_roots(roots):
-    states = reachable_states(roots)
-    assert same_partition(refine_partition(states), ks_partition(states, strong_sig), states)
+    table = explore(roots, transitions)
+    assert same_partition(refine_partition(table.items()), ks_partition(table, strong_sig), table)
 
 
 def test_distinguishing_depth_matches_reference():
@@ -195,12 +238,16 @@ def test_distinguishing_depth_matches_reference():
     rng = random.Random(5)
     for _ in range(300):
         p, q = rng.choice(universe), rng.choice(universe)
-        expected = ks_depth(reachable_states([p, q]), strong_sig, p, q)
+        expected = ks_depth(explore([p, q], transitions), strong_sig, p, q)
         assert distinguishing_depth(p, q) == expected, (p, q)
 
 
 def test_refine_partition_rejects_a_state_space_that_is_not_well_founded():
     # a cycle; a read within one rank, even of a state listed first; a read upward
-    for reads in ({"x": ["y"], "y": ["x"]}, {"y": [], "x": ["y"]}, {"x": ["yy"], "yy": []}):
+    for table in (
+        {"x": [("r", "y")], "y": [("r", "x")]},
+        {"y": [], "x": [("r", "y")]},
+        {"x": [("r", "yy")], "yy": []},
+    ):
         with pytest.raises(KeyError):
-            refine_partition(reads, lambda s, block: tuple(block[t] for t in reads[s]), rank=len)
+            refine_partition(table.items(), rank=len)

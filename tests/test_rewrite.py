@@ -11,8 +11,6 @@ from ccspi.lts import bisimilar_oracle
 from ccspi.rewrite import (
     _redex_contractions,
     decide_bisim,
-    decide_extensional,
-    is_prime,
     normalize,
     normalize_steps,
     prime_decompose,
@@ -189,9 +187,9 @@ def test_distribution_law_shape():
 def test_prime_decompose():
     assert prime_decompose(parse_ccs("a.a.0")) == (parse_ccs("a.0"), parse_ccs("a.0"))
     assert prime_decompose(NIL) == ()
-    assert is_prime(parse_ccs("a.b.0"))
-    assert not is_prime(parse_ccs("a.0 | b.0"))
-    assert not is_prime(NIL)
+    assert len(prime_decompose(parse_ccs("a.b.0"))) == 1
+    assert len(prime_decompose(parse_ccs("a.0 | b.0"))) == 2
+    assert len(prime_decompose(NIL)) == 0
     with pytest.raises(ValueError, match="open"):
         prime_decompose(Var("X"))
 
@@ -200,7 +198,7 @@ def test_prime_bruteforce_agrees():
     from ccspi.generate import ccs_terms_upto, prefix_alphabet
 
     for t in ccs_terms_upto(3, prefix_alphabet(("a", "b"))):
-        assert is_prime_bruteforce(t) == is_prime(t), t
+        assert is_prime_bruteforce(t) == (len(prime_decompose(t)) == 1), t
 
 
 def test_prime_bruteforce_bound():
@@ -208,11 +206,14 @@ def test_prime_bruteforce_bound():
         is_prime_bruteforce(parse_ccs("a.a.a.a.0"), size_bound=3)
 
 
-def test_decide_extensional():
-    assert decide_extensional(parse_ccs("X | a.0"), parse_ccs("a.0 | X"))
-    assert not decide_extensional(parse_ccs("X | a.0"), parse_ccs("X | b.0"))
-    assert not decide_extensional(parse_ccs("X"), parse_ccs("X | X"))
-    assert decide_extensional(parse_ccs("a.(X | a.X)"), parse_ccs("a.X | a.X"))
+def test_open_terms_compare_by_normal_form():
+    def same(l, r):
+        return normalize(parse_ccs(l)) == normalize(parse_ccs(r))
+
+    assert same("X | a.0", "a.0 | X")
+    assert not same("X | a.0", "X | b.0")
+    assert not same("X", "X | X")
+    assert same("a.(X | a.X)", "a.X | a.X")
 
 
 @given(term_st(with_vars=True))
