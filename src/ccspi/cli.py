@@ -119,6 +119,15 @@ def cmd_bisim(args) -> int:
     p = _parse_term(args.calculus, args.p)
     q = _parse_term(args.calculus, args.q)
     payload: dict = {}
+    depth = None  # the distinguishing depth, once the oracle has computed it
+
+    def oracle() -> bool:
+        # with --depth one exploration answers both: no round separates bisimilar terms
+        nonlocal depth
+        if not args.depth:
+            return bisimilar_oracle(p, q)
+        depth = distinguishing_depth(p, q)
+        return depth is None
 
     if args.calculus == "pi":
         game = {"ground": ground_bisim, "late": late_bisim, "early": early_bisim}[style]
@@ -126,7 +135,7 @@ def cmd_bisim(args) -> int:
     elif style == "distributed":
         verdict = dsim(p, q)
     elif args.calculus == "ccs+":
-        verdict = bisimilar_oracle(p, q)
+        verdict = oracle()
     else:
         ground = is_ground(p) and is_ground(q)
         if method in ("oracle", "both") and not ground:
@@ -137,7 +146,7 @@ def cmd_bisim(args) -> int:
             by_norm = decide_bisim(p, q)
             payload["method_norm"] = by_norm
         if method in ("oracle", "both"):
-            by_oracle = bisimilar_oracle(p, q)
+            by_oracle = oracle()
             payload["method_oracle"] = by_oracle
         if method == "both" and by_norm != by_oracle:
             print(
@@ -149,7 +158,7 @@ def cmd_bisim(args) -> int:
         verdict = by_norm if method in ("norm", "both") else by_oracle
 
     if args.depth and not verdict and args.calculus in ("ccs", "ccs+") and style == "strong":
-        payload["distinguishing_depth"] = distinguishing_depth(p, q)
+        payload["distinguishing_depth"] = distinguishing_depth(p, q) if method == "norm" else depth
 
     report = RunReport(
         command="bisim",
@@ -295,6 +304,13 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _name(text: str) -> str:
+    """An argparse type for an observed name of `erase`: one channel name."""
+    if not is_name(text):
+        raise argparse.ArgumentTypeError(f"expected a lowercase name, got {text!r}")
+    return text
+
+
 def _name_list(text: str) -> tuple[str, ...]:
     """An argparse type for --names: distinct channel names, comma-separated."""
     names = tuple(text.split(","))
@@ -360,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_erase = sub.add_parser("erase", help="erase a pi term to CCS relative to two names")
     p_erase.add_argument("term")
-    p_erase.add_argument("input_name")
-    p_erase.add_argument("output_name")
+    p_erase.add_argument("input_name", type=_name)
+    p_erase.add_argument("output_name", type=_name)
     add_format(p_erase)
     p_erase.set_defaults(fn=cmd_erase)
 

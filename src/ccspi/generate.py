@@ -25,7 +25,6 @@ from .pi import (
     PiTerm,
     dangling,
     pi_size,
-    pi_sort_key,
 )
 
 
@@ -167,7 +166,7 @@ def _pi_cells(prefix_count: int, nu_count: int, frees: tuple[str, ...], depth: i
             t = PiPar(combo)
             if pi_size(t) == prefix_count:
                 terms.add(t)
-    return tuple(sorted(terms, key=pi_sort_key)), tuple(sorted(comps, key=pi_sort_key))
+    return tuple(sorted(terms, key=sort_key)), tuple(sorted(comps, key=sort_key))
 
 
 def _pi_all(prefix_count: int, nu_count: int, frees: tuple[str, ...], depth: int):
@@ -181,7 +180,7 @@ def pi_terms_upto(max_prefixes: int, max_nus: int, frees: tuple[str, ...]) -> li
     for p in range(max_prefixes + 1):
         for v in range(max_nus + 1):
             found.update(_pi_all(p, v, frees, 0))
-    return sorted(found, key=lambda t: (pi_size(t), pi_sort_key(t)))
+    return sorted(found, key=lambda t: (pi_size(t), sort_key(t)))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,8 @@ of `terms` with their own intern table, which likewise lives as long as the
 process: structurally equal terms are one object.  The name references
 `FreeName` and `BoundName` are interned records too.  The constructors keep
 terms canonical: parallel composition is a flattened sorted multiset without
-Nil components, and a restriction whose name never occurs is dropped.
+Nil components (`terms.flat_par`, in the one order of `terms.sort_key`),
+and a restriction whose name never occurs is dropped.
 
 Renaming walks (`open_binder`, `close_binder`, `pi_substitute` and the
 unused-binder shift in `PiNu`) read each node's stored dangling indices and
@@ -38,7 +39,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .lts import explore, refine_partition
-from .terms import Node, Record
+from .terms import Node, Record, flat_par, sort_key
 
 
 class FreeName(Record):
@@ -50,6 +51,7 @@ class FreeName(Record):
 
 class BoundName(Record):
     __slots__ = _fields = ("index",)
+    _rank = 1
 
     def __new__(cls, index: int) -> BoundName:
         return cls._make(index)
@@ -114,6 +116,7 @@ PI_NIL = PiNil()
 
 class PiInput(PiTerm):
     __slots__ = _fields = ("chan", "body")  # body binds index 0
+    _rank = 1
 
     def __new__(cls, chan: NameRef, body: PiTerm) -> PiInput:
         return cls._make(chan, body)
@@ -125,6 +128,7 @@ class PiInput(PiTerm):
 
 class PiOutput(PiTerm):
     __slots__ = _fields = ("chan", "payload", "body")
+    _rank = 2
 
     def __new__(cls, chan: NameRef, payload: NameRef, body: PiTerm) -> PiOutput:
         return cls._make(chan, payload, body)
@@ -139,25 +143,13 @@ class PiOutput(PiTerm):
 
 
 class PiPar(PiTerm):
-    """Parallel composition.  The constructor flattens nested compositions,
-    drops Nil components and sorts the rest; it returns PI_NIL for no
-    component and the component itself for one."""
+    """Parallel composition, made canonical by `flat_par`."""
 
     __slots__ = _fields = ("parts",)
+    _rank = 3
 
     def __new__(cls, parts: Iterable[PiTerm]) -> PiTerm:
-        items: list[PiTerm] = []
-        for p in parts:
-            if isinstance(p, PiPar):
-                items.extend(p.parts)
-            elif p is not PI_NIL:
-                items.append(p)
-        if not items:
-            return PI_NIL
-        if len(items) == 1:
-            return items[0]
-        items.sort(key=pi_sort_key)
-        return cls._make(tuple(items))
+        return flat_par(cls, PI_NIL, parts)
 
     def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
         ps = self.parts
@@ -175,6 +167,7 @@ class PiNu(PiTerm):
     down one, which is opening the binder with no reference to replace."""
 
     __slots__ = _fields = ("body",)
+    _rank = 4
 
     def __new__(cls, body: PiTerm) -> PiTerm:
         if 0 in body._dangling:
@@ -187,29 +180,7 @@ class PiNu(PiTerm):
 
 
 # --------------------------------------------------------------------------
-# ordering and traversal
-
-
-def _ref_key(r: NameRef) -> tuple:
-    if isinstance(r, FreeName):
-        return (0, r.name, 0)
-    return (1, "", r.index)
-
-
-@lru_cache(maxsize=None)
-def pi_sort_key(t: PiTerm) -> tuple:
-    match t:
-        case PiNil():
-            return (0,)
-        case PiInput(chan=c, body=b):
-            return (1, _ref_key(c), pi_sort_key(b))
-        case PiOutput(chan=c, payload=p, body=b):
-            return (2, _ref_key(c), _ref_key(p), pi_sort_key(b))
-        case PiPar(parts=ps):
-            return (3, tuple(pi_sort_key(p) for p in ps))
-        case PiNu(body=b):
-            return (4, pi_sort_key(b))
-    raise TypeError(f"not a pi term: {t!r}")
+# measures and renaming
 
 
 def dangling(t: PiTerm) -> frozenset[int]:
@@ -468,7 +439,7 @@ def _grouped(ts: frozenset[tuple[PiAction, PiTerm]]) -> dict[PiAction, list[PiTe
 def _pi_bisim(p: PiTerm, q: PiTerm, mode: str) -> bool:
     if p == q:
         return True
-    if pi_sort_key(q) < pi_sort_key(p):
+    if sort_key(q) < sort_key(p):
         p, q = q, p
     key = (p, q, mode)
     cached = _BISIM_MEMO.get(key)
@@ -639,7 +610,7 @@ def classify_transitions(p: PiTerm, sigma: Mapping[str, str]) -> list[Classified
                 return BoundOutAct(sigma.get(c, c))
         return a
 
-    for act_s, res_s in sorted(late_transitions(ps), key=lambda e: (str(e[0]), pi_sort_key(e[1]))):
+    for act_s, res_s in sorted(late_transitions(ps), key=lambda e: (str(e[0]), sort_key(e[1]))):
         tag: str | None = None
         if not isinstance(act_s, PiTauAct):
             for a, res in tp:

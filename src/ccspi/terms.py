@@ -14,7 +14,9 @@ and hashing are the identity ones inherited from `object`.  The intern
 tables hold every node ever built and live as long as the process.  They
 are never cleared: a term held in some cache would otherwise get an
 unequal twin.  Action prefixes, and the name references of pi terms, are
-interned the same way (see `Record`).
+interned the same way (see `Record`).  One total order, `sort_key`, serves
+every node: each node's key is derived once, when the node is built, and
+lives as long as its node.
 
 Open terms may contain process variables (written uppercase); these are
 opaque leaves that can stand in parallel contexts and under prefixes but
@@ -23,9 +25,10 @@ never head a transition.
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from itertools import product
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping
 
 Name = str  # channel names: lowercase identifiers, compared by equality
 
@@ -37,11 +40,13 @@ class Node:
     `_fields`, and builds instances with `_make`, which publishes a new node
     with `dict.setdefault` in the family's `_table`, so two threads can
     never publish two nodes for one key.  `_derive` may fill further slots
-    computed once per node from its fields.
+    computed once per node from its fields.  `_make` itself fills `_key`,
+    built from the children's keys (see `sort_key`), so no walk derives it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key",)
     _fields: tuple[str, ...] = ()
+    _rank = 0  # orders the classes of one family
     _table: dict[tuple, Node]
 
     @classmethod
@@ -52,6 +57,7 @@ class Node:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
+            object.__setattr__(node, "_key", (cls._rank, *map(_field_key, fields)))
             node._derive()
             node = cls._table.setdefault(key, node)
         return node
@@ -70,13 +76,44 @@ class Node:
         return f"{type(self).__name__}({args})"
 
 
+def _field_key(value: object) -> object:
+    if isinstance(value, Node):
+        return value._key
+    if type(value) is tuple:
+        return tuple([p._key for p in value])
+    return value
+
+
+# The one total order on nodes: a node's key is (_rank, *field keys), a field
+# key being the child's key, the tuple of the children's keys, or the value.
+sort_key: Callable[[Node], tuple] = attrgetter("_key")
+
+
+def flat_par(cls: type[Node], nil: Node, parts: Iterable[Node]) -> Node:
+    """The canonical parallel composition of parts, for `Par` and `PiPar`:
+    nested `cls` nodes are flattened, `nil` components dropped and the rest
+    sorted; `nil` for no component and the component itself for one."""
+    items: list[Node] = []
+    for p in parts:
+        if isinstance(p, cls):
+            items.extend(p.parts)
+        elif p is not nil:
+            items.append(p)
+    if not items:
+        return nil
+    if len(items) == 1:
+        return items[0]
+    items.sort(key=sort_key)
+    return cls._make(tuple(items))
+
+
 @total_ordering
 class Record(Node):
     """Base of the interned name records: `Prefix` here, `FreeName` and
     `BoundName` in `pi`.  Like terms, equal records are one object, so they
     compare and hash by identity and an intern key that holds one hashes in
-    C.  Unlike terms, records order by their field values and show their
-    fields by name."""
+    C.  Unlike terms, records compare with `<` (by `sort_key`) and show
+    their fields by name."""
 
     __slots__ = ()
     _table = {}
@@ -84,11 +121,7 @@ class Record(Node):
     def __lt__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        for f in self._fields:
-            mine, theirs = getattr(self, f), getattr(other, f)
-            if mine != theirs:
-                return mine < theirs
-        return False
+        return self._key < other._key
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -141,6 +174,7 @@ NIL = Nil()
 
 class Act(Term):
     __slots__ = _fields = ("prefix", "cont")
+    _rank = 1
 
     def __new__(cls, prefix: Prefix, cont: Term) -> Act:
         return cls._make(prefix, cont)
@@ -151,25 +185,13 @@ class Act(Term):
 
 
 class Par(Term):
-    """Parallel composition.  The constructor flattens nested compositions,
-    drops Nil components and sorts the rest; it returns NIL for no
-    component and the component itself for one."""
+    """Parallel composition, made canonical by `flat_par`."""
 
     __slots__ = _fields = ("parts",)
+    _rank = 2
 
     def __new__(cls, parts: Iterable[Term]) -> Term:
-        items: list[Term] = []
-        for p in parts:
-            if isinstance(p, Par):
-                items.extend(p.parts)
-            elif p is not NIL:
-                items.append(p)
-        if not items:
-            return NIL
-        if len(items) == 1:
-            return items[0]
-        items.sort(key=sort_key)
-        return cls._make(tuple(items))
+        return flat_par(cls, NIL, parts)
 
     def _own_size(self) -> int | None:
         return _total_size(self.parts)
@@ -181,6 +203,7 @@ class Sum(Term):
     the summand itself for one.  Summands must be prefixed."""
 
     __slots__ = _fields = ("parts",)
+    _rank = 3
 
     def __new__(cls, parts: Iterable[Term]) -> Term:
         items: set[Term] = set()
@@ -204,6 +227,7 @@ class Sum(Term):
 
 class Var(Term):
     __slots__ = _fields = ("ident",)
+    _rank = 4
 
     def __new__(cls, ident: str) -> Var:
         return cls._make(ident)
@@ -213,25 +237,7 @@ class Var(Term):
 
 
 # --------------------------------------------------------------------------
-# canonical ordering
-
-
-@lru_cache(maxsize=None)
-def sort_key(t: Term) -> tuple:
-    """Total order on canonical terms: constructor tag, then prefix data,
-    then recursive component keys.  Tags keep mixed comparisons well typed."""
-    match t:
-        case Nil():
-            return (0,)
-        case Act(prefix=p, cont=c):
-            return (1, p.name, p.co, sort_key(c))
-        case Par(parts=ps):
-            return (2, tuple(sort_key(p) for p in ps))
-        case Sum(parts=ps):
-            return (3, tuple(sort_key(p) for p in ps))
-        case Var(ident=v):
-            return (4, v)
-    raise TypeError(f"not a term: {t!r}")
+# parallel structure
 
 
 def parallel_components(t: Term) -> tuple[Term, ...]:

@@ -1,8 +1,10 @@
 """A test-side check of the canonical form, written apart from the
-constructors that are meant to enforce it."""
+constructors that are meant to enforce it: components are ordered by the
+reference keys of `order_reference`, not by the keys the nodes store."""
 
-from ccspi.pi import BoundName, PiInput, PiNil, PiNu, PiOutput, PiPar, pi_sort_key
-from ccspi.terms import Act, Nil, Par, Sum, sort_key
+from ccspi.pi import BoundName, PiInput, PiNil, PiNu, PiOutput, PiPar
+from ccspi.terms import Act, Nil, Par, Sum
+from order_reference import pi_sort_key, sort_key
 
 
 def _uses_index(t, i: int) -> bool:

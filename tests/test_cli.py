@@ -61,6 +61,33 @@ def test_bisim_depth_payload(capsys):
     assert "distinguishing_depth: 2" in out
 
 
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (
+            ["a.a.0", "a.0"],
+            {"method_norm": False, "method_oracle": False, "distinguishing_depth": 2},
+        ),
+        (["a.0 + b.0", "a.0", "--calculus", "ccs+"], {"distinguishing_depth": 1}),
+    ],
+    ids=["ccs", "ccs+"],
+)
+def test_bisim_depth_explores_once(capsys, monkeypatch, argv, payload):
+    # the oracle's verdict is read off the distinguishing depth, so the
+    # joint state space is explored once, not once per answer
+    calls = []
+    explore = ccspi.lts.explore
+
+    def counted(*args):
+        calls.append(args)
+        return explore(*args)
+
+    monkeypatch.setattr(ccspi.lts, "explore", counted)
+    code, out, _ = run(capsys, "bisim", *argv, "--depth", "--format", "json")
+    assert code == 1 and json.loads(out)["payload"] == payload
+    assert len(calls) == 1
+
+
 def test_bisim_depth_rejects_open_terms(capsys):
     code, out, err = run(capsys, "bisim", "a.X", "b.X", "--method", "norm", "--depth")
     assert code == 2 and out == ""
@@ -198,6 +225,19 @@ def test_erase(capsys):
 def test_erase_rejects_equal_names(capsys):
     code, _, err = run(capsys, "erase", "a(x).0", "a", "a")
     assert code == 2 and "distinct" in err
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("A", "b"), ("a b", "b"), ("", "b"), ("a", "b.0")],
+    ids=["uppercase", "two-names", "empty", "not-a-name"],
+)
+def test_erase_rejects_what_is_not_a_name(capsys, names):
+    # before, these answered exit 0 with an erasure that observes nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["erase", "a(x).0", *names])
+    assert exc.value.code == 2
+    assert "expected a lowercase name" in capsys.readouterr().err
 
 
 def test_md_search_witness(capsys):
