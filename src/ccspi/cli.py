@@ -274,6 +274,9 @@ def cmd_enumerate(args) -> int:
     except KeyError as e:
         print(e.args[0], file=sys.stderr)
         return 2
+    if report.checked == 0:
+        # exit 0 would read as "the property holds" with no case examined
+        raise UsageError(f"suite {report.name!r} checked no case within these bounds")
     if args.format == "json":
         print(
             json.dumps(

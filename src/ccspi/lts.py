@@ -1,16 +1,20 @@
 """Labelled transition semantics for CCS terms and the strong bisimilarity
 oracle computed by partition refinement.
 
-There is one structural operational semantics, the distributed one:
-`d_transitions` splits each residual into a local part (what the acting
-component becomes) and a concurrent part (everything that ran in parallel
-with it), giving each move as a flat (action, local, concurrent) tuple.
-The interleaving `transitions` only rejoin the two parts, so the strong
-and distributed relations cannot drift apart.  On a parallel
-composition both read one enumeration of its moves (`_par_moves`): the
-distributed relation splits each move into its two parts, and the
-interleaving one joins each move into its target in one step, building one
-`Par` per move.
+A component of a canonical parallel composition is a prefix or a guarded
+sum: it fires as its (prefix, continuation) pairs, which `transitions`
+gives for it, and leaves nothing else behind.  On a parallel composition
+both semantics read one enumeration of its moves (`_par_moves`): the
+interleaving `transitions` joins each move into its target, building one
+`Par` per move, and the distributed `d_transitions` splits it into a local
+part (what the acting components become) and a concurrent part (the
+components that stayed put), giving a flat (action, local, concurrent)
+tuple.  So the strong and distributed relations cannot drift apart.
+
+`transitions` stores a node's moves on the node, as a tuple of distinct
+moves in a fixed order, the first time it is asked for them: they live as
+long as the node, as the intern tables do, and every later call returns
+that same tuple.  `d_transitions` keeps nothing.
 
 The transition relation consumes one prefix per visible step and two per
 synchronisation, so every transition strictly decreases term size: reachable
@@ -32,7 +36,6 @@ the step differs: `transitions` itself for strong bisimilarity,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator
 
 from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, size
@@ -53,66 +56,76 @@ DMove = tuple[Action, Term, Term]  # (action, local, concurrent)
 
 def d_transitions(t: Term) -> frozenset[DMove]:
     """Distributed transitions of a ground canonical term, as (action, local,
-    concurrent) moves.  A prefix fires with concurrent residual 0; parallel
-    contexts join the concurrent part; synchronisation pairs both local and
-    both concurrent parts.  Sum components transition by the transitions of
-    their summands."""
-    match t:
-        case Nil():
-            return frozenset()
-        case Var():
-            raise ValueError("transitions undefined on open terms")
-        case Act(prefix=p, cont=c):
-            return frozenset(((p, c, NIL),))
-        case Sum(parts=ps):
-            out: set[DMove] = set()
-            for s in ps:
-                out |= d_transitions(s)
-            return frozenset(out)
-        case Par(parts=ps):
-            return frozenset(
-                (a, locs[0] if len(locs) == 1 else Par(locs), Par(rest + cons))
-                for a, rest, locs, cons in _par_moves(ps)
-            )
-    raise TypeError(f"not a term: {t!r}")
+    concurrent) moves.  A prefix or a summand fires with concurrent residual
+    0; in a parallel composition the components that stay put are the
+    concurrent part, and a synchronisation pairs both local parts."""
+    if isinstance(t, Par):
+        return frozenset(
+            (a, locs[0] if len(locs) == 1 else Par(locs), Par(rest))
+            for a, rest, locs in _par_moves(t.parts)
+        )
+    return frozenset((a, loc, NIL) for a, loc in transitions(t))
 
 
-Move = tuple[Action, tuple[Term, ...], tuple[Term, ...], tuple[Term, ...]]
+Move = tuple[Action, tuple[Term, ...], tuple[Term, ...]]
 
 
 def _par_moves(ps: tuple[Term, ...]) -> Iterator[Move]:
-    """Every move of the parallel components ps, as (action, rest, locals,
-    concurrents): the components that stay put, and the local and the
-    concurrent residuals of the one component that moves or of the two
-    that synchronise."""
-    part_ts = [d_transitions(p) for p in ps]
-    for i, ts in enumerate(part_ts):
+    """Every move of the parallel components ps, as (action, rest, locals):
+    the components that stay put, and the residuals of the one component
+    that fires or of the two that synchronise.  The visible moves come
+    component by component, in canonical order, then the synchronisations
+    of components i < j."""
+    fires = [transitions(p) for p in ps]
+    for i, ts in enumerate(fires):
         rest = ps[:i] + ps[i + 1 :]
-        for a, loc, con in ts:
-            yield a, rest, (loc,), (con,)
+        for a, loc in ts:
+            yield a, rest, (loc,)
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
-            for a1, l1, c1 in part_ts[i]:
-                if isinstance(a1, Tau):
-                    continue
+            for a1, l1 in fires[i]:
                 comp = a1.complement()
-                for a2, l2, c2 in part_ts[j]:
-                    if a2 == comp:
-                        yield TAU, rest, (l1, l2), (c1, c2)
+                for a2, l2 in fires[j]:
+                    if a2 is comp:
+                        yield TAU, rest, (l1, l2)
 
 
-# cached for the whole process, like the intern tables its keys live in; a
-# moves table of `explore` holds these frozensets, not copies of them
-@lru_cache(maxsize=None)
-def transitions(t: Term) -> frozenset[tuple[Action, Term]]:
-    """One-step interleaving transitions of a ground canonical term: the
-    distributed ones with local and concurrent residual rejoined."""
-    if isinstance(t, Par):
-        return frozenset(
-            (a, Par(rest + locs + cons)) for a, rest, locs, cons in _par_moves(t.parts)
-        )
-    return frozenset((a, Par((loc, con))) for a, loc, con in d_transitions(t))
+# writes a node's `_moves` slot past the immutability guard, as `_derive`
+# fills `_size`; only `transitions` writes it, on its first call for the node
+_store_moves = Term._moves.__set__
+
+
+def transitions(t: Term) -> tuple[tuple[Action, Term], ...]:
+    """One-step interleaving transitions of a ground canonical term, as a
+    tuple of distinct (action, target) moves.
+
+    The order is fixed by the term alone, so it is the same in every
+    process: a prefix has its one move, a sum its summands' in canonical
+    order, and a parallel composition the moves of `_par_moves`, duplicates
+    dropped.  The tuple is stored on the node the first time and returned
+    on every later call (a moves table of `explore` holds it, not a copy);
+    two threads that race on a node compute and store equal tuples."""
+    try:
+        return t._moves
+    except AttributeError:
+        pass
+    match t:
+        case Par(parts=ps):
+            joined = [(a, Par(rest + locs)) for a, rest, locs in _par_moves(ps)]
+            moves = tuple(dict.fromkeys(joined))
+        case Act(prefix=p, cont=c):
+            moves = ((p, c),)
+        case Sum(parts=ps):
+            moves = tuple([(s.prefix, s.cont) for s in ps])
+        case Nil():
+            moves = ()
+        case Var():
+            raise ValueError("transitions undefined on open terms")
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    _store_moves(t, moves)
+    return moves
 
 
 def explore(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> dict:

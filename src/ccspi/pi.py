@@ -22,9 +22,12 @@ lifetime: `clear_bisim_memo` empties all three.
 
 Transition residuals for input and bound-output actions are returned as
 bodies with the transmitted name still abstracted (dangling index 0); the
-bisimulation games decide how to instantiate them.  Instantiation names for
-the games are drawn from a reserved namespace ("#0", "#1", ...) disjoint
-from source-level names.
+bisimulation games decide how to instantiate them.  `late_transitions`
+stores a node's moves on the node the first time it is asked for them, as a
+tuple of distinct moves in an order fixed by the term alone, so they live
+as long as the node, as the intern table does, and no cache holds them.
+Instantiation names for the games are drawn from a reserved namespace
+("#0", "#1", ...) disjoint from source-level names.
 
 Besides the games for single pairs, `pi_blocks` gives the classes of a
 whole universe in each mode with the one exploration loop and the one
@@ -35,7 +38,6 @@ signature that strong and distributed bisimilarity use (`lts.explore` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .lts import explore, refine_partition
@@ -83,9 +85,13 @@ class PiTerm(Node):
     """Base class for pi terms.  Every node records, once, the indices it
     references without binding them (see `dangling`), its size (see
     `pi_size`) and its free names (see `free_names`), also as a sorted
-    tuple (`_names`, the order of a `pi_substitute` memo key)."""
+    tuple (`_names`, the order of a `pi_substitute` memo key).  A closed node
+    also keeps its moves once `late_transitions` has first derived them."""
 
-    __slots__ = ("_dangling", "_size", "_free", "_names")
+    # _moves stays empty until `late_transitions` fills it, through the
+    # slot's descriptor, and then lives as long as the node.  Two threads
+    # that race on one node store equal tuples, so either write may win.
+    __slots__ = ("_dangling", "_size", "_free", "_names", "_moves")
     _table = {}
 
     def _derive(self) -> None:
@@ -147,9 +153,8 @@ class PiPar(PiTerm):
 
     __slots__ = _fields = ("parts",)
     _rank = 3
-
-    def __new__(cls, parts: Iterable[PiTerm]) -> PiTerm:
-        return flat_par(cls, PI_NIL, parts)
+    _nil = PI_NIL
+    __new__ = flat_par
 
     def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
         ps = self.parts
@@ -352,26 +357,42 @@ PI_TAU = PiTauAct()
 PiAction = InputAct | FreeOutAct | BoundOutAct | PiTauAct
 
 
-@lru_cache(maxsize=None)
-def late_transitions(t: PiTerm) -> frozenset[tuple[PiAction, PiTerm]]:
-    """Late-instantiation transitions of a closed canonical term.
+# writes a node's `_moves` slot past the immutability guard, as `_derive`
+# fills `_size`; only `late_transitions` writes it, on its first call for the
+# node
+_store_moves = PiTerm._moves.__set__
+
+
+def late_transitions(t: PiTerm) -> tuple[tuple[PiAction, PiTerm], ...]:
+    """Late-instantiation transitions of a closed canonical term, as a tuple
+    of distinct (action, residual) moves.
 
     Residuals of InputAct and BoundOutAct are open at index 0 (the received
-    or extruded name); FreeOutAct and tau residuals are closed."""
+    or extruded name); FreeOutAct and tau residuals are closed.  The order
+    is fixed by the term alone, so it is the same in every process: a
+    parallel composition lists its components' moves in canonical component
+    order, then the communications of each ordered pair of components, and
+    a restriction follows the moves of its opened body.  The tuple is stored
+    on the node the first time and returned on every later call; two
+    threads that race on a node compute and store equal tuples."""
+    try:
+        return t._moves
+    except AttributeError:
+        pass
     match t:
         case PiNil():
-            return frozenset()
+            moves = ()
         case PiInput(chan=FreeName(name=a), body=b):
-            return frozenset(((InputAct(a), b),))
+            moves = ((InputAct(a), b),)
         case PiOutput(chan=FreeName(name=a), payload=FreeName(name=c), body=b):
-            return frozenset(((FreeOutAct(a, c), b),))
+            moves = ((FreeOutAct(a, c), b),)
         case PiPar(parts=ps):
-            out: set[tuple[PiAction, PiTerm]] = set()
+            out: dict[tuple[PiAction, PiTerm], None] = {}
             part_ts = [late_transitions(p) for p in ps]
             for i, ts in enumerate(part_ts):
                 rest = ps[:i] + ps[i + 1 :]
                 for a, res in ts:
-                    out.add((a, PiPar((res,) + rest)))
+                    out[(a, PiPar((res,) + rest))] = None
             for i in range(len(ps)):
                 for j in range(len(ps)):
                     if i == j:
@@ -384,29 +405,33 @@ def late_transitions(t: PiTerm) -> frozenset[tuple[PiAction, PiTerm]]:
                                 continue
                             rest = tuple(p for k, p in enumerate(ps) if k not in (i, j))
                             if isinstance(aj, FreeOutAct):
-                                out.add((PI_TAU, PiPar((open_binder(ri, aj.payload), rj) + rest)))
+                                res = PiPar((open_binder(ri, aj.payload), rj) + rest)
                             else:
-                                out.add((PI_TAU, PiNu(PiPar((ri, rj) + rest))))
-            return frozenset(out)
+                                res = PiNu(PiPar((ri, rj) + rest))
+                            out[(PI_TAU, res)] = None
+            moves = tuple(out)
         case PiNu(body=b):
             m = fresh_marker(free_names(b))
-            out = set()
+            out = {}
             for a, res in late_transitions(open_binder(b, m)):
                 match a:
                     case InputAct(chan=c) | BoundOutAct(chan=c):
                         if c != m:
-                            out.add((a, PiNu(close_binder(res, m))))
+                            out[(a, PiNu(close_binder(res, m)))] = None
                     case FreeOutAct(chan=c, payload=pay):
                         if c == m:
                             continue
                         if pay == m:
-                            out.add((BoundOutAct(c), close_binder(res, m)))
+                            out[(BoundOutAct(c), close_binder(res, m))] = None
                         else:
-                            out.add((a, PiNu(close_binder(res, m))))
+                            out[(a, PiNu(close_binder(res, m)))] = None
                     case PiTauAct():
-                        out.add((a, PiNu(close_binder(res, m))))
-            return frozenset(out)
-    raise TypeError(f"transitions need a closed canonical term: {t!r}")
+                        out[(a, PiNu(close_binder(res, m)))] = None
+            moves = tuple(out)
+        case _:
+            raise TypeError(f"transitions need a closed canonical term: {t!r}")
+    _store_moves(t, moves)
+    return moves
 
 
 # --------------------------------------------------------------------------
@@ -425,11 +450,11 @@ def clear_bisim_memo() -> None:
     _SUBST_MEMO.clear()
 
 
-def _labels(ts: frozenset[tuple[PiAction, PiTerm]]) -> frozenset[PiAction]:
+def _labels(ts: tuple[tuple[PiAction, PiTerm], ...]) -> frozenset[PiAction]:
     return frozenset(a for a, _ in ts)
 
 
-def _grouped(ts: frozenset[tuple[PiAction, PiTerm]]) -> dict[PiAction, list[PiTerm]]:
+def _grouped(ts: tuple[tuple[PiAction, PiTerm], ...]) -> dict[PiAction, list[PiTerm]]:
     g: dict[PiAction, list[PiTerm]] = {}
     for a, res in ts:
         g.setdefault(a, []).append(res)
@@ -630,7 +655,7 @@ def classify_transitions(p: PiTerm, sigma: Mapping[str, str]) -> list[Classified
 
 def _match_created_tau(
     p: PiTerm,
-    tp: frozenset[tuple[PiAction, PiTerm]],
+    tp: tuple[tuple[PiAction, PiTerm], ...],
     sigma: Mapping[str, str],
     res_s: PiTerm,
 ) -> str | None:

@@ -16,7 +16,9 @@ are never cleared: a term held in some cache would otherwise get an
 unequal twin.  Action prefixes, and the name references of pi terms, are
 interned the same way (see `Record`).  One total order, `sort_key`, serves
 every node: each node's key is derived once, when the node is built, and
-lives as long as its node.
+lives as long as its node.  A term node also carries its moves once they
+are first asked for (`lts.transitions`, `pi.late_transitions`): a tuple
+stored on the node, which lives as long as the node too.
 
 Open terms may contain process variables (written uppercase); these are
 opaque leaves that can stand in parallel contexts and under prefixes but
@@ -89,10 +91,12 @@ def _field_key(value: object) -> object:
 sort_key: Callable[[Node], tuple] = attrgetter("_key")
 
 
-def flat_par(cls: type[Node], nil: Node, parts: Iterable[Node]) -> Node:
-    """The canonical parallel composition of parts, for `Par` and `PiPar`:
-    nested `cls` nodes are flattened, `nil` components dropped and the rest
-    sorted; `nil` for no component and the component itself for one."""
+def flat_par(cls: type[Node], parts: Iterable[Node]) -> Node:
+    """The constructor of `Par` and `PiPar`, their `__new__`: the canonical
+    parallel composition of parts.  Nested `cls` nodes are flattened, the
+    family's nil (`cls._nil`) components dropped and the rest sorted; the
+    nil for no component and the component itself for one."""
+    nil = cls._nil
     items: list[Node] = []
     for p in parts:
         if isinstance(p, cls):
@@ -145,9 +149,13 @@ class Prefix(Record):
 
 class Term(Node):
     """Base class for CCS terms.  Every node records its size once (see
-    `size`): None on an open term."""
+    `size`): None on an open term.  A ground node also keeps its moves once
+    `lts.transitions` has first derived them."""
 
-    __slots__ = ("_size",)
+    # _moves stays empty until `lts.transitions` fills it, through the slot's
+    # descriptor, and then lives as long as the node.  Two threads that race
+    # on one node store equal tuples, so either write may win.
+    __slots__ = ("_size", "_moves")
     _table = {}
 
     def _derive(self) -> None:
@@ -189,9 +197,8 @@ class Par(Term):
 
     __slots__ = _fields = ("parts",)
     _rank = 2
-
-    def __new__(cls, parts: Iterable[Term]) -> Term:
-        return flat_par(cls, NIL, parts)
+    _nil = NIL
+    __new__ = flat_par
 
     def _own_size(self) -> int | None:
         return _total_size(self.parts)

@@ -324,6 +324,23 @@ def test_enumerate_rejects_a_flag_the_suite_does_not_take(capsys, argv, flags):
     assert f"does not take {flags}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erasure-random", "--count", "0"],
+        # no parallel composition has fewer than two prefixes
+        ["dsim-separation", "--size-bound", "0"],
+        ["dsim-separation", "--size-bound", "1"],
+    ],
+    ids=["no-sample", "size-bound-0", "size-bound-1"],
+)
+def test_enumerate_rejects_a_suite_that_checks_nothing(capsys, argv):
+    # before, it printed PASS with checked=0 and exited 0
+    code, out, err = run(capsys, "enumerate", *argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and "checked no case" in err
+
+
 def test_run_suite_still_skips_what_a_suite_does_not_take():
     # the benchmark hands a seed to every suite this way
     assert run_suite("replication-ladder", seed=5, size_bound=99).passed

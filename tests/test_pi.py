@@ -40,6 +40,7 @@ from ccspi.pi import (
 )
 from ccspi.suites import run_suite
 from ccspi.syntax import parse_pi
+from transitions_reference import distinct
 
 
 def pi_st(max_prefixes=4, max_nus=1):
@@ -246,7 +247,7 @@ def test_input_transition_leaves_binder_open():
 
 
 def test_free_output_transition():
-    assert late_transitions(parse_pi("b<c>.0")) == frozenset(
+    assert distinct(late_transitions(parse_pi("b<c>.0"))) == frozenset(
         {(FreeOutAct("b", "c"), PI_NIL)}
     )
 
@@ -259,8 +260,8 @@ def test_bound_output_opens_restriction():
 
 
 def test_restricted_channel_cannot_fire():
-    assert late_transitions(parse_pi("(nu p)(p(x).0)")) == frozenset()
-    assert late_transitions(PI_NIL) == frozenset()
+    assert distinct(late_transitions(parse_pi("(nu p)(p(x).0)"))) == frozenset()
+    assert distinct(late_transitions(PI_NIL)) == frozenset()
 
 
 def test_communication_instantiates_receiver():
