@@ -23,7 +23,6 @@ from .pi import (
     PiOutput,
     PiPar,
     PiTerm,
-    dangling,
     pi_size,
 )
 
@@ -140,7 +139,7 @@ def _pi_cells(prefix_count: int, nu_count: int, frees: tuple[str, ...], depth: i
                     comps.add(PiOutput(c, payload, body))
     if nu_count > 0:
         for body in _pi_all(prefix_count, nu_count - 1, frees, depth + 1):
-            if 0 in dangling(body):
+            if body._dangling & 1:
                 comps.add(PiNu(body))
     terms: set[PiTerm] = set(comps)
     if prefix_count + nu_count == 0:

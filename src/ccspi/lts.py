@@ -28,21 +28,29 @@ efficient algorithm for computing bisimulation equivalence", TCS 2004).
 Strong, distributed and pi bisimilarity share one exploration loop and one
 signature.  `explore` tabulates the moves of every reachable state, a move
 being a flat tuple (label, successor, ...), and `refine_partition` signs a
-state by its set of moves with each successor replaced by its block.  Only
+state by its set of moves with each successor replaced by its block.  That
+set is kept as numbers: each distinct (label, *blocks) gets a number, once
+per call, and a signature is the sorted tuple of its moves' numbers.  Only
 the step differs: `transitions` itself for strong bisimilarity,
 `d_transitions` itself for distributed bisimilarity, and `pi.pi_step`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var, size
+from .terms import NIL, Act, Nil, Par, Prefix, Record, Sum, Term, Var, size
 
 
-@dataclass(frozen=True)
-class Tau:
+class Tau(Record):
+    """The silent action, interned like `Prefix`: `Tau() is TAU`."""
+
+    __slots__ = ()
+    _rank = 1
+
+    def __new__(cls) -> Tau:
+        return cls._make()
+
     def __str__(self) -> str:
         return "tau"
 
@@ -81,11 +89,12 @@ def _par_moves(ps: tuple[Term, ...]) -> Iterator[Move]:
         rest = ps[:i] + ps[i + 1 :]
         for a, loc in ts:
             yield a, rest, (loc,)
-    for i in range(len(ps)):
+    for i in range(len(ps) - 1):
+        # a component's moves are prefixes, each complemented once per call
+        cofires = [(a.complement(), loc) for a, loc in fires[i]]
         for j in range(i + 1, len(ps)):
             rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
-            for a1, l1 in fires[i]:
-                comp = a1.complement()
+            for comp, l1 in cofires:
                 for a2, l2 in fires[j]:
                     if a2 is comp:
                         yield TAU, rest, (l1, l2)
@@ -151,13 +160,25 @@ def explore(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> dict:
 # partition refinement
 
 
-def _signature(moves: Iterable[tuple], block: dict) -> frozenset:
-    """A state's moves with each successor replaced by its block.  A move of
-    one successor (strong, ground and early pi) is signed without slicing
-    it, which keeps cold strong queries as cheap as a signature written for
-    pairs alone."""
-    return frozenset(
-        [(m[0], block[m[1]]) if len(m) == 2 else (m[0], *[block[t] for t in m[1:]]) for m in moves]
+def _signature(moves: Iterable[tuple], block: dict, pairs: dict) -> tuple[int, ...]:
+    """A state's set of moves with each successor replaced by its block, as
+    the sorted tuple of their numbers: `pairs` numbers each distinct
+    (label, *blocks) in the order first seen.  Within one `pairs`, equal
+    tuples mean equal sets, so the tuple signs as the set would, and only
+    one tuple per distinct move is kept, not one set per signature.  A move
+    of one successor (strong, ground and early pi) is read without slicing
+    it, which keeps cold strong queries cheap."""
+    number = pairs.setdefault
+    return tuple(
+        sorted(
+            {
+                number(
+                    (m[0], block[m[1]]) if len(m) == 2 else (m[0], *[block[t] for t in m[1:]]),
+                    len(pairs),
+                )
+                for m in moves
+            }
+        )
     )
 
 
@@ -178,9 +199,10 @@ def refine_partition(
         levels.setdefault(rank(s), []).append((s, moves))
     block: dict = {}
     ids: dict = {}
+    pairs: dict = {}
     for r in sorted(levels):
         level = levels[r]
-        sigs = [_signature(moves, block) for _, moves in level]
+        sigs = [_signature(moves, block, pairs) for _, moves in level]
         for (s, _), sig in zip(level, sigs):
             block[s] = ids.setdefault(sig, len(ids))
     return block
@@ -208,6 +230,9 @@ def distinguishing_depth(p: Term, q: Term) -> int | None:
     rounds = 0
     while block[p] == block[q]:
         ids: dict = {}
-        block = {s: ids.setdefault(_signature(ms, block), len(ids)) for s, ms in table.items()}
+        pairs: dict = {}
+        block = {
+            s: ids.setdefault(_signature(ms, block, pairs), len(ids)) for s, ms in table.items()
+        }
         rounds += 1
     return rounds

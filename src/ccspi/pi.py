@@ -4,17 +4,24 @@ transition semantics, and ground / late / early strong bisimilarity.
 Binders are represented positionally (de Bruijn indices), so alpha-equivalent
 terms are literally equal and substitution is capture-avoiding by
 construction.  Free names stay as names.  Terms share the interned node core
-of `terms` with their own intern table, which likewise lives as long as the
-process: structurally equal terms are one object.  The name references
-`FreeName` and `BoundName` are interned records too.  The constructors keep
-terms canonical: parallel composition is a flattened sorted multiset without
-Nil components (`terms.flat_par`, in the one order of `terms.sort_key`),
-and a restriction whose name never occurs is dropped.
+of `terms`, each class with its own intern table, which likewise lives as
+long as the process: structurally equal terms are one object.  The name
+references `FreeName` and `BoundName`, and the transition labels
+`InputAct`, `FreeOutAct`, `BoundOutAct` and `PiTauAct`, are interned
+records too (`terms.Record`): equal labels are one object and hash by
+identity.  The constructors keep terms canonical: parallel composition is a
+flattened sorted multiset without Nil components (`terms.flat_par`, in the
+one order of `terms.sort_key`), and a restriction whose name never occurs
+is dropped.
 
+Each node stores its dangling indices as an int bit set (bit i set when
+index i dangles; `dangling` gives the frozenset): a binder's body is seen
+from outside by `>> 1`, and a parallel composition joins its parts by `|`.
 Renaming walks (`open_binder`, `close_binder`, `pi_substitute` and the
-unused-binder shift in `PiNu`) read each node's stored dangling indices and
-free names, and return a subterm unchanged when it holds no reference they
-move.  Two memos keep renamings across calls: `open_binder` results per
+unused-binder shift in `PiNu`) read each node's stored bit set and free
+names, and return a subterm unchanged when it holds no reference they move:
+under d binders, one with `_dangling >> d == 0` references no index they
+shift.  Two memos keep renamings across calls: `open_binder` results per
 (node, name), and `pi_substitute` results per node and images of its free
 names at every level of the walk, so a subterm is renamed once for all
 substitutions that agree on its free names.  They share the game memo's
@@ -62,17 +69,12 @@ class BoundName(Record):
 NameRef = FreeName | BoundName
 
 
-def _ref_dangling(r: NameRef) -> frozenset[int]:
-    return frozenset((r.index,)) if isinstance(r, BoundName) else frozenset()
+def _ref_dangling(r: NameRef) -> int:
+    return 1 << r.index if type(r) is BoundName else 0
 
 
 def _ref_free(r: NameRef) -> frozenset[str]:
     return frozenset((r.name,)) if isinstance(r, FreeName) else frozenset()
-
-
-def _unbind(indices: frozenset[int]) -> frozenset[int]:
-    """Dangling indices of a body, seen from outside one binder."""
-    return frozenset(i - 1 for i in indices if i > 0)
 
 
 # each free-name set that some node has, with its sorted tuple; like the
@@ -83,7 +85,8 @@ _FREE_SETS: dict[frozenset[str], tuple[frozenset[str], tuple[str, ...]]] = {}
 
 class PiTerm(Node):
     """Base class for pi terms.  Every node records, once, the indices it
-    references without binding them (see `dangling`), its size (see
+    references without binding them (see `dangling`), as an int bit set
+    `_dangling` whose bit i is set when index i dangles, its size (see
     `pi_size`) and its free names (see `free_names`), also as a sorted
     tuple (`_names`, the order of a `pi_substitute` memo key).  A closed node
     also keeps its moves once `late_transitions` has first derived them."""
@@ -92,7 +95,6 @@ class PiTerm(Node):
     # slot's descriptor, and then lives as long as the node.  Two threads
     # that race on one node store equal tuples, so either write may win.
     __slots__ = ("_dangling", "_size", "_free", "_names", "_moves")
-    _table = {}
 
     def _derive(self) -> None:
         dangling, size, free = self._measures()
@@ -105,9 +107,11 @@ class PiTerm(Node):
         object.__setattr__(self, "_free", free)
         object.__setattr__(self, "_names", names)
 
-    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
-        """Dangling indices, prefix count and free names, from the fields."""
-        return frozenset(), 0, frozenset()
+    def _measures(self) -> tuple[int, int, frozenset[str]]:
+        """Dangling index bits, prefix count and free names, from the
+        fields.  A binder's body, seen from outside it, drops bit 0 and
+        shifts the rest down: `body._dangling >> 1`."""
+        return 0, 0, frozenset()
 
 
 class PiNil(PiTerm):
@@ -127,9 +131,9 @@ class PiInput(PiTerm):
     def __new__(cls, chan: NameRef, body: PiTerm) -> PiInput:
         return cls._make(chan, body)
 
-    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+    def _measures(self) -> tuple[int, int, frozenset[str]]:
         c, b = self.chan, self.body
-        return _ref_dangling(c) | _unbind(b._dangling), b._size + 1, _ref_free(c) | b._free
+        return _ref_dangling(c) | b._dangling >> 1, b._size + 1, _ref_free(c) | b._free
 
 
 class PiOutput(PiTerm):
@@ -139,7 +143,7 @@ class PiOutput(PiTerm):
     def __new__(cls, chan: NameRef, payload: NameRef, body: PiTerm) -> PiOutput:
         return cls._make(chan, payload, body)
 
-    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+    def _measures(self) -> tuple[int, int, frozenset[str]]:
         c, p, b = self.chan, self.payload, self.body
         return (
             _ref_dangling(c) | _ref_dangling(p) | b._dangling,
@@ -156,10 +160,13 @@ class PiPar(PiTerm):
     _nil = PI_NIL
     __new__ = flat_par
 
-    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+    def _measures(self) -> tuple[int, int, frozenset[str]]:
         ps = self.parts
+        bits = 0
+        for p in ps:
+            bits |= p._dangling
         return (
-            frozenset().union(*(p._dangling for p in ps)),
+            bits,
             sum(p._size for p in ps),
             frozenset().union(*(p._free for p in ps)),
         )
@@ -175,13 +182,13 @@ class PiNu(PiTerm):
     _rank = 4
 
     def __new__(cls, body: PiTerm) -> PiTerm:
-        if 0 in body._dangling:
+        if body._dangling & 1:
             return cls._make(body)
         return _open(body, 0, None)
 
-    def _measures(self) -> tuple[frozenset[int], int, frozenset[str]]:
+    def _measures(self) -> tuple[int, int, frozenset[str]]:
         b = self.body
-        return _unbind(b._dangling), b._size, b._free
+        return b._dangling >> 1, b._size, b._free
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +197,8 @@ class PiNu(PiTerm):
 
 def dangling(t: PiTerm) -> frozenset[int]:
     """Indices referenced in t but not bound inside it, counted from t's top."""
-    return t._dangling
+    bits = t._dangling
+    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 def free_names(t: PiTerm) -> frozenset[str]:
@@ -219,8 +227,7 @@ def _open(t: PiTerm, d: int, new: FreeName | None) -> PiTerm:
     """t under d binders with index d replaced by `new` and the indices
     above it moved down one; t itself when every dangling index is below d.
     `new` is None only where t never references index d (see `PiNu`)."""
-    indices = t._dangling
-    if not indices or max(indices) < d:
+    if t._dangling >> d == 0:
         return t
     match t:
         case PiInput(chan=c, body=b):
@@ -255,8 +262,7 @@ def _close(t: PiTerm, d: int, old: FreeName) -> PiTerm:
     """t under d binders with `old` replaced by index d and the indices from
     d up moved up one; t itself when `old` is not free in t and every
     dangling index is below d."""
-    indices = t._dangling
-    if old.name not in t._free and (not indices or max(indices) < d):
+    if old.name not in t._free and t._dangling >> d == 0:
         return t
     match t:
         case PiInput(chan=c, body=b):
@@ -321,33 +327,45 @@ def fresh_marker(avoid: frozenset[str] | set[str]) -> str:
 # late transition semantics
 
 
-@dataclass(frozen=True, order=True)
-class InputAct:
-    chan: str
+class InputAct(Record):
+    __slots__ = _fields = ("chan",)
+
+    def __new__(cls, chan: str) -> InputAct:
+        return cls._make(chan)
 
     def __str__(self) -> str:
         return f"{self.chan}(.)"
 
 
-@dataclass(frozen=True, order=True)
-class FreeOutAct:
-    chan: str
-    payload: str
+class FreeOutAct(Record):
+    __slots__ = _fields = ("chan", "payload")
+    _rank = 1
+
+    def __new__(cls, chan: str, payload: str) -> FreeOutAct:
+        return cls._make(chan, payload)
 
     def __str__(self) -> str:
         return f"'{self.chan}<{self.payload}>"
 
 
-@dataclass(frozen=True, order=True)
-class BoundOutAct:
-    chan: str
+class BoundOutAct(Record):
+    __slots__ = _fields = ("chan",)
+    _rank = 2
+
+    def __new__(cls, chan: str) -> BoundOutAct:
+        return cls._make(chan)
 
     def __str__(self) -> str:
         return f"'{self.chan}(.)"
 
 
-@dataclass(frozen=True, order=True)
-class PiTauAct:
+class PiTauAct(Record):
+    __slots__ = ()
+    _rank = 3
+
+    def __new__(cls) -> PiTauAct:
+        return cls._make()
+
     def __str__(self) -> str:
         return "tau"
 
@@ -595,7 +613,7 @@ def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[
     step = pi_step(allowed, mode)
     states = []
     for t in roots:
-        if not free_names(t) <= allowed or dangling(t):
+        if not free_names(t) <= allowed or t._dangling:
             raise ValueError(f"not a closed term over {sorted(allowed)}: {t!r}")
         states.append((t, 0))
     return refine_partition(explore(states, step).items(), rank=lambda state: pi_size(state[0]))

@@ -28,7 +28,6 @@ from .pi import (
     PiOutput,
     PiPar,
     PiTerm,
-    dangling,
     free_names,
 )
 from .terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var
@@ -345,7 +344,7 @@ def _pi_print(t: PiTerm, env: list[str], taken: frozenset[str]) -> str:
 
 
 def print_pi(t: PiTerm) -> str:
-    if dangling(t):
+    if t._dangling:
         raise ValueError("cannot print a term with dangling indices")
     return _pi_print(t, [], frozenset(free_names(t)))
 

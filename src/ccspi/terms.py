@@ -7,16 +7,18 @@ multiset with Nil components removed, and sums are flattened, sorted
 constructor, its class, and that constructor applies these rules, so no
 term can be built in non-canonical form.
 
-Nodes are hash-consed: a constructor looks its canonical result up in an
-intern table shared by the term family and returns the node already there.
-Structurally congruent terms are therefore the same object, and equality
-and hashing are the identity ones inherited from `object`.  The intern
-tables hold every node ever built and live as long as the process.  They
-are never cleared: a term held in some cache would otherwise get an
-unequal twin.  Action prefixes, and the name references of pi terms, are
-interned the same way (see `Record`).  One total order, `sort_key`, serves
-every node: each node's key is derived once, when the node is built, and
-lives as long as its node.  A term node also carries its moves once they
+Nodes are hash-consed: a constructor looks its canonical result up in its
+class's own intern table, keyed by the node's one field or by its fields
+tuple, and returns the node already there.  Structurally congruent terms
+are therefore the same object, and equality and hashing are the identity
+ones inherited from `object`.  The intern tables hold every node ever built
+and live as long as the process.  They are never cleared: a term held in
+some cache would otherwise get an unequal twin.  Action prefixes and
+transition labels, and the name references of pi terms, are interned the
+same way (see `Record`).  One total order, `sort_key`, serves every node:
+each node's key, (rank, *field keys), flat for the children of a parallel
+composition or a sum, is derived once, when the node is built, and lives as
+long as its node.  A term node also carries its moves once they
 are first asked for (`lts.transitions`, `pi.late_transitions`): a tuple
 stored on the node, which lives as long as the node too.
 
@@ -39,8 +41,11 @@ class Node:
     """Interned, immutable tree node shared by the CCS and pi term families.
 
     A concrete class declares its structural fields as `__slots__` and
-    `_fields`, and builds instances with `_make`, which publishes a new node
-    with `dict.setdefault` in the family's `_table`, so two threads can
+    `_fields`, and builds instances with `_make`.  Every class gets its own
+    intern table, `_table`, from `__init_subclass__`: it is keyed by the
+    field itself for a class of one field (so a hit on a `Par` looks up its
+    parts tuple and builds no key), and by the fields tuple otherwise.
+    `_make` publishes a new node with `dict.setdefault`, so two threads can
     never publish two nodes for one key.  `_derive` may fill further slots
     computed once per node from its fields.  `_make` itself fills `_key`,
     built from the children's keys (see `sort_key`), so no walk derives it.
@@ -49,17 +54,25 @@ class Node:
     __slots__ = ("_key",)
     _fields: tuple[str, ...] = ()
     _rank = 0  # orders the classes of one family
-    _table: dict[tuple, Node]
+    _table: dict
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
 
     @classmethod
     def _make(cls, *fields):
-        key = (cls, *fields)
+        key = fields[0] if len(fields) == 1 else fields
         node = cls._table.get(key)
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_key", (cls._rank, *map(_field_key, fields)))
+            # a tuple key is the fields, or the children of the one tuple
+            # field, whose keys then follow the rank flat
+            items = key if type(key) is tuple else fields
+            order = (cls._rank, *[f._key if isinstance(f, Node) else f for f in items])
+            object.__setattr__(node, "_key", order)
             node._derive()
             node = cls._table.setdefault(key, node)
         return node
@@ -78,16 +91,11 @@ class Node:
         return f"{type(self).__name__}({args})"
 
 
-def _field_key(value: object) -> object:
-    if isinstance(value, Node):
-        return value._key
-    if type(value) is tuple:
-        return tuple([p._key for p in value])
-    return value
-
-
 # The one total order on nodes: a node's key is (_rank, *field keys), a field
-# key being the child's key, the tuple of the children's keys, or the value.
+# key being the child's key or the value.  The one field of a parallel
+# composition or a sum is a tuple of children; their keys follow the rank
+# directly, (_rank, *child keys), which orders such nodes as the nested tuple
+# of child keys would.
 sort_key: Callable[[Node], tuple] = attrgetter("_key")
 
 
@@ -113,14 +121,14 @@ def flat_par(cls: type[Node], parts: Iterable[Node]) -> Node:
 
 @total_ordering
 class Record(Node):
-    """Base of the interned name records: `Prefix` here, `FreeName` and
-    `BoundName` in `pi`.  Like terms, equal records are one object, so they
-    compare and hash by identity and an intern key that holds one hashes in
-    C.  Unlike terms, records compare with `<` (by `sort_key`) and show
-    their fields by name."""
+    """Base of the interned records: `Prefix` here, `lts.Tau`, and in `pi`
+    the name references `FreeName` and `BoundName` and the transition
+    labels.  Like terms, equal records are one object, so they compare and
+    hash by identity and an intern key that holds one hashes in C.  Unlike
+    terms, records compare with `<` (by `sort_key`) and show their fields
+    by name."""
 
     __slots__ = ()
-    _table = {}
 
     def __lt__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -156,7 +164,6 @@ class Term(Node):
     # descriptor, and then lives as long as the node.  Two threads that race
     # on one node store equal tuples, so either write may win.
     __slots__ = ("_size", "_moves")
-    _table = {}
 
     def _derive(self) -> None:
         object.__setattr__(self, "_size", self._own_size())

@@ -1,6 +1,8 @@
 """The pi renamings as one generic walk that rebuilds every node, written
 apart from the walks in `ccspi.pi` that they check: those skip the subterms
-that hold nothing to move, and memoize `open_binder` and `pi_substitute`."""
+that hold nothing to move, and memoize `open_binder` and `pi_substitute`.
+The same walk collects the dangling indices that `ccspi.pi` stores on each
+node as a bit set."""
 
 from typing import Callable, Mapping
 
@@ -33,6 +35,20 @@ def _map_refs(t: PiTerm, fn: Callable[[NameRef, int], NameRef], depth: int = 0) 
         case PiNu(body=b):
             return PiNu(_map_refs(b, fn, depth + 1))
     raise TypeError(f"not a pi term: {t!r}")
+
+
+def dangling(t: PiTerm) -> frozenset[int]:
+    """The indices t references without binding them, counted from t's top:
+    each bound reference that points past the binders above it."""
+    found: set[int] = set()
+
+    def fn(r: NameRef, d: int) -> NameRef:
+        if isinstance(r, BoundName) and r.index >= d:
+            found.add(r.index - d)
+        return r
+
+    _map_refs(t, fn)
+    return frozenset(found)
 
 
 def drop_unused_binder(body: PiTerm) -> PiTerm:

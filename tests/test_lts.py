@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ccspi.distributed import dsim_blocks
-from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
+from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, pi_terms_upto, prefix_alphabet
 from ccspi.lts import (
     TAU,
     Tau,
@@ -18,7 +18,7 @@ from ccspi.lts import (
     refine_partition,
     transitions,
 )
-from ccspi.pi import pi_step
+from ccspi.pi import pi_size, pi_step
 from ccspi.syntax import parse_ccs, parse_ccs_plus, parse_pi
 from ccspi.terms import NIL, Act, Par, Prefix, Var, size
 from refinement_reference import ks_depth, ks_partition, same_partition
@@ -228,6 +228,20 @@ def test_dsim_blocks_match_reference():
         return frozenset((a, block[loc], block[con]) for a, loc, con in d_transitions(s))
 
     assert same_partition(block, ks_partition(block, pair_sig), block)
+
+
+@pytest.mark.parametrize("mode", ["late", "early"])
+def test_refine_partition_matches_reference_on_pi_tables(mode):
+    # late inputs are moves with one successor per instantiation name; some
+    # states here have two moves that differ only in bisimilar successors
+    table = explore([(t, 0) for t in pi_terms_upto(3, 1, ("a",))], pi_step(("a",), mode))
+    assert any(len(m) > 2 for ms in table.values() for m in ms) == (mode == "late")
+
+    def sig(s, block):
+        return frozenset((m[0], *[block[t] for t in m[1:]]) for m in table[s])
+
+    block = refine_partition(table.items(), rank=lambda state: pi_size(state[0]))
+    assert same_partition(block, ks_partition(table, sig), table)
 
 
 @given(st.lists(term_st(), min_size=1, max_size=4))

@@ -13,6 +13,7 @@ from ccspi.generate import pi_terms_upto, random_pi
 import pi_reference
 from ccspi.pi import (
     PI_NIL,
+    PI_TAU,
     BoundName,
     BoundOutAct,
     FreeName,
@@ -40,6 +41,7 @@ from ccspi.pi import (
 )
 from ccspi.suites import run_suite
 from ccspi.syntax import parse_pi
+from test_order import _pi_subterms
 from transitions_reference import distinct
 
 
@@ -225,6 +227,27 @@ def test_stored_measures_over_the_small_universe():
 @given(raw_pi_st())
 def test_stored_measures_on_open_terms(t):
     assert (pi_size(t), free_names(t)) == measures_by_recursion(t)
+
+
+def test_dangling_matches_a_walk_of_the_references():
+    terms = pi_terms_upto(3, 1, ("a", "b"))
+    opened = [t.body for t in _pi_subterms(terms) if isinstance(t, (PiInput, PiNu))]
+    assert any(len(dangling(t)) > 1 for t in opened)
+    for t in terms + opened:
+        got = dangling(t)
+        assert type(got) is frozenset
+        assert got == pi_reference.dangling(t), t
+
+
+def test_labels_are_interned():
+    assert InputAct("a") is InputAct("a")
+    assert FreeOutAct("a", "b") is FreeOutAct("a", "b")
+    assert BoundOutAct("a") is BoundOutAct("a") and PiTauAct() is PI_TAU
+    # equal fields in different classes stay different labels
+    assert InputAct("a") is not BoundOutAct("a")
+    assert InputAct("a") is not FreeName("a")
+    assert str(InputAct("a")) == "a(.)" and str(BoundOutAct("a")) == "'a(.)"
+    assert str(FreeOutAct("a", "b")) == "'a<b>" and str(PI_TAU) == "tau"
 
 
 def test_nodes_are_immutable():

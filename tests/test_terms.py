@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from canonical_form import is_canonical
 from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
+from ccspi.lts import TAU, Tau
 from ccspi.terms import (
     NIL,
     Act,
@@ -138,6 +139,9 @@ def test_equal_terms_are_one_object():
     assert Sum([a0, b0, a0]) is Sum([b0, a0])
     assert Act(Prefix("a"), Nil()) is a0
     assert Nil() is NIL and Var("X") is Var("X")
+    # every class has its own intern table: equal fields, different classes
+    assert Par((a0, b0)) is not Sum((a0, b0))
+    assert TAU is Tau() and Prefix("a") is Prefix("a")
 
 
 @given(raw_term_st())
