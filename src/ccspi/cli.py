@@ -2,9 +2,16 @@
 
 Exit codes: 0 when the queried property holds (equivalent, witness found,
 suite passed), 1 when it does not, 2 on usage, parse or input errors
-(input nested too deeply for the recursive walks included).  The bisim
---method both route runs the normal-form decision and the oracle side by
-side and treats any divergence as a hard error.
+(input nested too deeply for the recursive walks included).
+
+`bisim` reads every equivalence off one table, `_ROUTES`: (calculus, style)
+-> {route: decider}, a calculus's first style its default.  `--method`
+takes a pair's routes.  Only sum-free strong bisimilarity has two, the
+normal-form decision `norm` and the partition-refinement oracle `oracle`;
+there `both`, the default, runs the two side by side, reports each as
+`method_<route>`, and treats a disagreement as a hard error.  `--depth` and
+the ground-term check apply where the oracle is `bisimilar_oracle`.  `dsim`
+is `bisim` on (ccs+, distributed).
 
 The argument parser is built once per process, by the first `main` call,
 and shared by every later one; `main` still parses each argv into a fresh
@@ -71,16 +78,6 @@ def _emit(report: RunReport, fmt: str) -> None:
     print(f"elapsed: {report.elapsed:.3f}s (ccspi {report.version})")
 
 
-def _parse_term(calculus: str, text: str):
-    if calculus == "ccs":
-        return parse_ccs(text)
-    if calculus == "ccs+":
-        return parse_ccs_plus(text)
-    if calculus == "pi":
-        return parse_pi(text)
-    raise UsageError(f"unknown calculus: {calculus}")
-
-
 def cmd_normalize(args) -> int:
     t0 = time.time()
     t = parse_ccs(args.term)
@@ -96,69 +93,70 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-_STYLES = {
-    "ccs": ("strong",),
-    "ccs+": ("strong", "distributed"),
-    "pi": ("ground", "late", "early"),
+_ROUTES = {
+    ("ccs", "strong"): {"norm": decide_bisim, "oracle": bisimilar_oracle},
+    ("ccs+", "strong"): {"oracle": bisimilar_oracle},
+    ("ccs+", "distributed"): {"oracle": dsim},
+    ("pi", "ground"): {"oracle": ground_bisim},
+    ("pi", "late"): {"oracle": late_bisim},
+    ("pi", "early"): {"oracle": early_bisim},
 }
+_PARSERS = {"ccs": parse_ccs, "ccs+": parse_ccs_plus, "pi": parse_pi}
 
 
 def cmd_bisim(args) -> int:
     t0 = time.time()
-    style = args.style or _STYLES[args.calculus][0]
-    if style not in _STYLES[args.calculus]:
-        raise UsageError(f"style {style!r} is not defined for calculus {args.calculus!r}")
-    method = args.method
-    if method is None:
-        method = "both" if (args.calculus, style) == ("ccs", "strong") else "oracle"
-    if method != "oracle" and (args.calculus, style) != ("ccs", "strong"):
-        raise UsageError("--method norm/both applies to the sum-free strong equivalence only")
-    if args.depth and (args.calculus == "pi" or style == "distributed"):
+    styles = [s for c, s in _ROUTES if c == args.calculus]
+    style = args.style or styles[0]
+    if style not in styles:
+        raise UsageError(
+            f"style {style!r} is not defined for calculus {args.calculus!r}, "
+            f"which takes --style {' or '.join(styles)}"
+        )
+    routes = _ROUTES[args.calculus, style]
+    methods = [*routes, "both"] if len(routes) > 1 else [*routes]
+    method = args.method or methods[-1]
+    if method not in methods:
+        raise UsageError(
+            f"--method {method} is not defined for {args.calculus} {style} bisimilarity, "
+            f"which takes --method {' or '.join(methods)}"
+        )
+    # --depth counts the rounds of the oracle's game, and the oracle needs
+    # the labelled transitions that open terms lack
+    interleaving = routes["oracle"] is bisimilar_oracle
+    if args.depth and not interleaving:
         raise UsageError("--depth applies to the interleaving CCS equivalences only")
 
-    p = _parse_term(args.calculus, args.p)
-    q = _parse_term(args.calculus, args.q)
-    payload: dict = {}
-    depth = None  # the distinguishing depth, once the oracle has computed it
-
-    def oracle() -> bool:
-        # with --depth one exploration answers both: no round separates bisimilar terms
-        nonlocal depth
-        if not args.depth:
-            return bisimilar_oracle(p, q)
-        depth = distinguishing_depth(p, q)
-        return depth is None
-
-    if args.calculus == "pi":
-        game = {"ground": ground_bisim, "late": late_bisim, "early": early_bisim}[style]
-        verdict = game(p, q)
-    elif style == "distributed":
-        verdict = dsim(p, q)
-    elif args.calculus == "ccs+":
-        verdict = oracle()
-    else:
-        ground = is_ground(p) and is_ground(q)
-        if method in ("oracle", "both") and not ground:
+    p = _PARSERS[args.calculus](args.p)
+    q = _PARSERS[args.calculus](args.q)
+    chosen = [*routes] if method == "both" else [method]
+    if interleaving and not (is_ground(p) and is_ground(q)):
+        if "oracle" in chosen:
             raise UsageError("the oracle needs ground terms; use --method norm for open ones")
-        if args.depth and not ground:
+        if args.depth:
             raise UsageError("--depth needs ground terms: open terms have no transitions")
-        if method in ("norm", "both"):
-            by_norm = decide_bisim(p, q)
-            payload["method_norm"] = by_norm
-        if method in ("oracle", "both"):
-            by_oracle = oracle()
-            payload["method_oracle"] = by_oracle
-        if method == "both" and by_norm != by_oracle:
-            print(
-                "DIVERGENCE: normal-form decision and oracle disagree on "
-                f"{print_ccs(p)} vs {print_ccs(q)}",
-                file=sys.stderr,
-            )
-            return 2
-        verdict = by_norm if method in ("norm", "both") else by_oracle
 
-    if args.depth and not verdict and args.calculus in ("ccs", "ccs+") and style == "strong":
-        payload["distinguishing_depth"] = distinguishing_depth(p, q) if method == "norm" else depth
+    answers = {}
+    depth = None  # the distinguishing depth, once the oracle has computed it
+    for route in chosen:
+        if args.depth and routes[route] is bisimilar_oracle:
+            # one exploration gives the verdict and the depth: no round
+            # separates bisimilar terms
+            depth = distinguishing_depth(p, q)
+            answers[route] = depth is None
+        else:
+            answers[route] = routes[route](p, q)
+    if len(set(answers.values())) > 1:
+        print(
+            "DIVERGENCE: normal-form decision and oracle disagree on "
+            f"{print_term(p)} vs {print_term(q)}",
+            file=sys.stderr,
+        )
+        return 2
+    verdict = answers[chosen[0]]
+    payload = {f"method_{r}": v for r, v in answers.items()} if len(routes) > 1 else {}
+    if args.depth and not verdict:
+        payload["distinguishing_depth"] = distinguishing_depth(p, q) if depth is None else depth
 
     report = RunReport(
         command="bisim",
@@ -249,10 +247,15 @@ def cmd_md_search(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.list or args.suite is None:
+    known = "known suites: " + ", ".join(SUITES)
+    if args.list == (args.suite is not None):
+        raise UsageError(f"name one suite to run, or pass --list alone; {known}")
+    if args.list:
         for name in SUITES:
             print(name)
-        return 0 if args.list else 2
+        return 0
+    if args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; {known}")
     overrides = {
         "size_bound": args.size_bound,
         "count": args.count,
@@ -261,19 +264,14 @@ def cmd_enumerate(args) -> int:
         "seed": args.seed,
         "sample": args.sample,
     }
-    if args.suite in SUITES:
-        # run_suite skips what a suite does not take, so a bound the user
-        # gave would silently not apply
-        params = inspect.signature(SUITES[args.suite]).parameters
-        ignored = [k for k, v in overrides.items() if v is not None and k not in params]
-        if ignored:
-            flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
-            raise UsageError(f"suite {args.suite!r} does not take {flags}")
-    try:
-        report = run_suite(args.suite, **overrides)
-    except KeyError as e:
-        print(e.args[0], file=sys.stderr)
-        return 2
+    # run_suite skips what a suite does not take, so a bound the user gave
+    # would silently not apply
+    params = inspect.signature(SUITES[args.suite]).parameters
+    ignored = [k for k, v in overrides.items() if v is not None and k not in params]
+    if ignored:
+        flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
+        raise UsageError(f"suite {args.suite!r} does not take {flags}")
+    report = run_suite(args.suite, **overrides)
     if report.checked == 0:
         # exit 0 would read as "the property holds" with no case examined
         raise UsageError(f"suite {report.name!r} checked no case within these bounds")

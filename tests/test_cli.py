@@ -10,7 +10,7 @@ import pytest
 
 import ccspi
 from ccspi.cli import build_parser, main
-from ccspi.suites import run_suite
+from ccspi.suites import SUITES, run_suite
 
 
 def run(capsys, *argv):
@@ -102,12 +102,6 @@ def test_bisim_open_terms_normal_form_route(capsys):
     assert "open" in err
 
 
-def test_bisim_method_restricted_to_sum_free(capsys):
-    code, _, err = run(capsys, "bisim", "a.0 + b.0", "a.0", "--calculus", "ccs+", "--method", "both")
-    assert code == 2
-    assert err
-
-
 def test_bisim_pi_styles(capsys):
     for style in ("ground", "late", "early"):
         code, out, _ = run(
@@ -116,10 +110,155 @@ def test_bisim_pi_styles(capsys):
             "--calculus", "pi", "--style", style,
         )
         assert code == 0, style
-    code, _, err = run(
-        capsys, "bisim", "a(x).0", "a(x).0", "--calculus", "pi", "--style", "distributed"
-    )
-    assert code == 2 and err
+
+
+EQ, NE = ("a.a.0", "a.0 | a.0"), ("a.a.0", "a.0")
+PLUS_EQ, PLUS_NE = ("a.0 + b.0", "b.0 + a.0"), ("a.0 + b.0", "a.0")
+PI_EQ, PI_NE = ("a(x).0 | a(y).0", "a(x).a(y).0"), ("a(x).0", "b(x).0")
+BOTH = {"method_norm": True, "method_oracle": True}
+NEITHER = {"method_norm": False, "method_oracle": False}
+
+
+# Every defined (calculus, style, method), the method unset included: the
+# exit code, the verdict and the payload in the order it is printed.
+@pytest.mark.parametrize(
+    "argv,code,verdict,payload",
+    [
+        pytest.param(["bisim", *EQ], 0, "strong bisimilar", BOTH, id="ccs"),
+        pytest.param(
+            ["bisim", *NE, "--method", "both"], 1, "not strong bisimilar", NEITHER, id="ccs-both"
+        ),
+        pytest.param(
+            ["bisim", *EQ, "--method", "norm"], 0, "strong bisimilar", {"method_norm": True}, id="ccs-norm"
+        ),
+        pytest.param(
+            ["bisim", "X | a.0", "a.0 | X", "--method", "norm"],
+            0, "strong bisimilar", {"method_norm": True}, id="ccs-norm-open",
+        ),
+        pytest.param(
+            ["bisim", *NE, "--style", "strong", "--method", "oracle"],
+            1, "not strong bisimilar", {"method_oracle": False}, id="ccs-strong-oracle",
+        ),
+        pytest.param(
+            ["bisim", *NE, "--depth"],
+            1, "not strong bisimilar", {**NEITHER, "distinguishing_depth": 2}, id="ccs-depth",
+        ),
+        pytest.param(
+            ["bisim", *NE, "--method", "norm", "--depth"],
+            1, "not strong bisimilar", {"method_norm": False, "distinguishing_depth": 2},
+            id="ccs-norm-depth",
+        ),
+        pytest.param(
+            ["bisim", *NE, "--method", "oracle", "--depth"],
+            1, "not strong bisimilar", {"method_oracle": False, "distinguishing_depth": 2},
+            id="ccs-oracle-depth",
+        ),
+        pytest.param(
+            ["bisim", *EQ, "--method", "both", "--depth"],
+            0, "strong bisimilar", BOTH, id="ccs-both-depth",
+        ),
+        pytest.param(["bisim", *PLUS_EQ, "--calculus", "ccs+"], 0, "strong bisimilar", {}, id="ccs+"),
+        pytest.param(
+            ["bisim", *PLUS_NE, "--calculus", "ccs+", "--style", "strong", "--method", "oracle"],
+            1, "not strong bisimilar", {}, id="ccs+-strong-oracle",
+        ),
+        pytest.param(
+            ["bisim", *PLUS_NE, "--calculus", "ccs+", "--depth"],
+            1, "not strong bisimilar", {"distinguishing_depth": 1}, id="ccs+-depth",
+        ),
+        pytest.param(
+            ["bisim", "a.0 | 'b.0", "a.'b.0 + 'b.a.0", "--calculus", "ccs+", "--style",
+             "distributed"],
+            1, "not distributed bisimilar", {}, id="ccs+-distributed",
+        ),
+        pytest.param(
+            ["bisim", *PLUS_EQ, "--calculus", "ccs+", "--style", "distributed",
+             "--method", "oracle"],
+            0, "distributed bisimilar", {}, id="ccs+-distributed-oracle",
+        ),
+        pytest.param(["dsim", "a.0 | b.0", "b.0 | a.0"], 0, "distributed bisimilar", {}, id="dsim"),
+        pytest.param(["bisim", *PI_EQ, "--calculus", "pi"], 0, "ground bisimilar", {}, id="pi"),
+        *(
+            pytest.param(
+                ["bisim", *PI_EQ, "--calculus", "pi", "--style", style],
+                0, f"{style} bisimilar", {}, id=f"pi-{style}",
+            )
+            for style in ("ground", "late", "early")
+        ),
+        *(
+            pytest.param(
+                ["bisim", *PI_NE, "--calculus", "pi", "--style", style, "--method", "oracle"],
+                1, f"not {style} bisimilar", {}, id=f"pi-{style}-oracle",
+            )
+            for style in ("ground", "late", "early")
+        ),
+    ],
+)
+def test_bisim_defined_routes(capsys, argv, code, verdict, payload):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    # between the two input lines and the elapsed line
+    lines = [f"verdict: {verdict}", *(f"{k}: {v}" for k, v in payload.items())]
+    assert out.splitlines()[2:-1] == lines
+    got, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert (got, doc["verdict"], doc["payload"]) == (code, verdict, payload)
+
+
+def test_bisim_both_is_an_error_when_the_routes_disagree(capsys, monkeypatch):
+    routes = ccspi.cli._ROUTES["ccs", "strong"]
+    oracle = routes["oracle"]
+    monkeypatch.setitem(routes, "norm", lambda p, q: not oracle(p, q))
+    code, out, err = run(capsys, "bisim", *EQ)
+    assert code == 2 and out == ""
+    assert err.startswith("DIVERGENCE: ")
+
+
+TERM = {"ccs": "a.0", "ccs+": "a.0", "pi": "a(x).0"}
+
+
+# Every combination the route table leaves undefined.  A rejected style or
+# method names the ones the calculus or pair does take.
+@pytest.mark.parametrize(
+    "calculus,flags,takes",
+    [
+        *(
+            pytest.param(
+                calc, ["--style", style, "--method", method], "--method oracle",
+                id=f"{calc}-{style}-{method}",
+            )
+            for calc, style in [
+                ("ccs+", "strong"),
+                ("ccs+", "distributed"),
+                ("pi", "ground"),
+                ("pi", "late"),
+                ("pi", "early"),
+            ]
+            for method in ("norm", "both")
+        ),
+        *(
+            pytest.param(calc, ["--style", style, "--depth"], None, id=f"{calc}-{style}-depth")
+            for calc, style in [
+                ("ccs+", "distributed"),
+                ("pi", "ground"),
+                ("pi", "late"),
+                ("pi", "early"),
+            ]
+        ),
+        *(
+            pytest.param("pi", ["--style", style], "--style ground or late or early", id=f"pi-{style}")
+            for style in ("strong", "distributed")
+        ),
+        pytest.param("ccs", ["--style", "late"], "--style strong", id="ccs-late"),
+    ],
+)
+def test_bisim_rejects_an_undefined_combination(capsys, calculus, flags, takes):
+    t = TERM[calculus]
+    code, out, err = run(capsys, "bisim", t, t, "--calculus", calculus, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ")
+    if takes:
+        assert err.endswith(f"which takes {takes}\n")
 
 
 def test_dsim_alias(capsys):
@@ -350,6 +489,31 @@ def test_enumerate_unknown_suite(capsys):
     code, _, err = run(capsys, "enumerate", "no-such-suite")
     assert code == 2
     assert "no-such-suite" in err
+
+
+def test_enumerate_without_a_suite_is_a_usage_error(capsys):
+    # it used to print the suite list on stdout, with nothing on stderr
+    code, out, err = run(capsys, "enumerate")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and all(name in err for name in SUITES)
+
+
+def test_enumerate_list_takes_no_suite(capsys):
+    # it used to list the suites, exit 0 and not run the one named
+    code, out, err = run(capsys, "enumerate", "--list", "cancellation")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and "cancellation" in err
+
+
+def test_enumerate_lets_a_fault_inside_a_suite_propagate(monkeypatch):
+    # a KeyError raised by a suite (refine_partition on a table that is not
+    # well founded, say) is a program fault, not an unknown suite
+    def broken():
+        raise KeyError("not well founded")
+
+    monkeypatch.setitem(SUITES, "broken", broken)
+    with pytest.raises(KeyError, match="not well founded"):
+        main(["enumerate", "broken"])
 
 
 @pytest.mark.parametrize(
