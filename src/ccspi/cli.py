@@ -246,16 +246,15 @@ def cmd_md_search(args) -> int:
     return 0 if w is not None else 1
 
 
+def _flags(keys: list[str]) -> str:
+    """The command-line flags of enumerate's bound keys, comma-separated."""
+    return ", ".join("--" + k.replace("_", "-") for k in keys)
+
+
 def cmd_enumerate(args) -> int:
     known = "known suites: " + ", ".join(SUITES)
     if args.list == (args.suite is not None):
         raise UsageError(f"name one suite to run, or pass --list alone; {known}")
-    if args.list:
-        for name in SUITES:
-            print(name)
-        return 0
-    if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; {known}")
     overrides = {
         "size_bound": args.size_bound,
         "count": args.count,
@@ -264,13 +263,24 @@ def cmd_enumerate(args) -> int:
         "seed": args.seed,
         "sample": args.sample,
     }
+    given = [k for k, v in overrides.items() if v is not None]
+    if args.list:
+        # the list takes no bound: one given would silently not apply
+        if given:
+            raise UsageError(f"--list does not take {_flags(given)}")
+        if args.format == "json":
+            print(json.dumps(list(SUITES), indent=2))
+        else:
+            print("\n".join(SUITES))
+        return 0
+    if args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; {known}")
     # run_suite skips what a suite does not take, so a bound the user gave
     # would silently not apply
     params = inspect.signature(SUITES[args.suite]).parameters
-    ignored = [k for k, v in overrides.items() if v is not None and k not in params]
+    ignored = [k for k in given if k not in params]
     if ignored:
-        flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
-        raise UsageError(f"suite {args.suite!r} does not take {flags}")
+        raise UsageError(f"suite {args.suite!r} does not take {_flags(ignored)}")
     report = run_suite(args.suite, **overrides)
     if report.checked == 0:
         # exit 0 would read as "the property holds" with no case examined

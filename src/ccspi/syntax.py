@@ -6,17 +6,21 @@ tighter than "|"; parentheses group; whitespace between tokens is ignored.
 Pi syntax: input a(x).P, output a<b>.P, restriction (nu p)P.  A trailing
 ".0" may be omitted on input but is always printed.
 
-A term is read in one linear pass.  `tokenize` is a single `re.finditer`
-scan that yields plain `(kind, text, start, end)` tuples; a `SourceSpan` is
-built only for a `ParseError`.  The parsers read `|`, `+` and prefix chains
-with loops: a chain is collected link by link and then folded from the
-inside out, so only parentheses recurse, and a chain of any length parses.
+A term is read in one linear pass.  `tokenize` returns the token texts
+alone, from one C-level `re.findall`, after one `re.search` has found any
+character that starts no token; a token keeps no kind and no offsets.  The
+parsers read a token's kind off its first character, and a `ParseError`
+finds its `SourceSpan` by scanning the text again, so offsets cost nothing
+on a good input.  The parsers read `|`, `+` and prefix chains with loops: a
+chain is collected link by link and then folded from the inside out, so
+only parentheses recurse, and a chain of any length parses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .pi import (
     PI_NIL,
@@ -52,17 +56,19 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-Token = tuple[str, str, int, int]  # kind, text, start, end
+Token = str  # a token's text; "" ends the input
 
 _NAME = r"[a-z][a-z0-9_]*"
 
-# Whitespace matches no group, so finditer steps over it; any other
-# character that starts no token is caught by the last group.
-_TOKEN_RE = re.compile(
-    rf"(?P<zero>0)|(?P<name>{_NAME})|(?P<var>[A-Z][A-Za-z0-9_]*)"
-    r"|(?P<quote>')|(?P<dot>\.)|(?P<bar>\|)|(?P<plus>\+)"
-    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<lt><)|(?P<gt>>)|(?P<other>\S)"
-)
+# findall steps over whitespace, which starts no token.  A character that
+# starts no token is one that no token holds, or a digit other than 0 or an
+# underscore with only 0s before it in its run of identifier characters (a
+# letter there would have started a name or variable that holds it).  One
+# search finds the first; a match of the repeated token pattern would find
+# it too, but the regex engine keeps a backtracking entry per token, about
+# 1.2 MB on a 5000-deep prefix chain.
+_TOKEN_RE = re.compile(rf"0|{_NAME}|[A-Z][A-Za-z0-9_]*|['.|+()<>]")
+_BAD_RE = re.compile(r"(?<![A-Za-z0-9_])0*[1-9_]|[^\sA-Za-z0-9_'.|+()<>]")
 
 
 def is_name(text: str) -> bool:
@@ -71,45 +77,59 @@ def is_name(text: str) -> bool:
 
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of text, ending with an ("eof", "", n, n) token."""
-    toks = [(m.lastgroup, m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-    for kind, chars, start, end in toks:
-        if kind == "other":
-            raise ParseError(f"unexpected character {chars!r}", SourceSpan(start, end))
-    toks.append(("eof", "", len(text), len(text)))
+    """The token texts of text, ending with "" for the end of input.  A
+    character that starts no token is an error here, before any parsing."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        at = bad.end() - 1
+        raise ParseError(f"unexpected character {text[at]!r}", SourceSpan(at, at + 1))
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")
     return toks
 
 
 def _describe(tok: Token) -> str:
-    return "end of input" if tok[0] == "eof" else repr(tok[1])
-
-
-def _unexpected(tok: Token, what: str) -> ParseError:
-    return ParseError(f"unexpected {_describe(tok)}", SourceSpan(tok[2], tok[3]), (what,))
-
-
-def _expect(toks: list[Token], pos: int, kind: str, what: str) -> str:
-    """The text of toks[pos], which must be of the given kind."""
-    tok = toks[pos]
-    if tok[0] != kind:
-        raise _unexpected(tok, what)
-    return tok[1]
+    return repr(tok) if tok else "end of input"
 
 
 class _Parser:
-    """One parse over one token list; `pos` is the next token to read.  Every
-    loop stops at the final eof token, since no rule accepts it."""
+    """One parse over the tokens of one text; `pos` is the next token to
+    read.  A token's kind is read off its first character: a name starts
+    lowercase and a variable uppercase, and every other token is one
+    character.  Every loop stops at the final "", since no rule accepts it.
+    Only an error needs a token's offsets, which `error` finds by scanning
+    the text again."""
 
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.pos = 0
+
+    def error(self, message: str, at: int, expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError spanning token number at."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), at, None), None)
+        span = SourceSpan(m.start(), m.end()) if m else SourceSpan(len(self.text), len(self.text))
+        return ParseError(message, span, expected)
+
+    def unexpected(self, at: int, what: str) -> ParseError:
+        return self.error(f"unexpected {_describe(self.toks[at])}", at, (what,))
+
+    def name(self, at: int, what: str) -> str:
+        """The text of token at, which must be a name."""
+        tok = self.toks[at]
+        if not tok[:1].islower():
+            raise self.unexpected(at, what)
+        return tok
+
+    def close(self, at: int, char: str) -> None:
+        """Token at must be the closing char, ')' or '>'."""
+        if self.toks[at] != char:
+            raise self.unexpected(at, repr(char))
 
     def done(self) -> None:
         tok = self.toks[self.pos]
-        if tok[0] != "eof":
-            raise ParseError(
-                f"unexpected {_describe(tok)} after the term", SourceSpan(tok[2], tok[3])
-            )
+        if tok:
+            raise self.error(f"unexpected {_describe(tok)} after the term", self.pos)
 
     # CCS / CCS+ -----------------------------------------------------------
 
@@ -121,10 +141,10 @@ class _Parser:
         while True:
             first = self.pos
             t = self.ccs_chain(allow_sum, allow_var)
-            kind, _, start, end = toks[self.pos]
-            if kind == "plus":
+            tok = toks[self.pos]
+            if tok == "+":
                 if not allow_sum:
-                    raise ParseError("sums are not part of this calculus", SourceSpan(start, end))
+                    raise self.error("sums are not part of this calculus", self.pos)
                 summands.append((t, first))
                 self.pos += 1
                 continue
@@ -132,12 +152,11 @@ class _Parser:
                 summands.append((t, first))
                 for s, at in summands:
                     if not isinstance(s, Act):
-                        tok = toks[at]
-                        raise ParseError("summands must be prefixed", SourceSpan(tok[2], tok[3]))
+                        raise self.error("summands must be prefixed", at)
                 t = Sum(s for s, _ in summands)
                 summands = []
             parts.append(t)
-            if kind != "bar":
+            if tok != "|":
                 return Par(parts)
             self.pos += 1
 
@@ -148,34 +167,34 @@ class _Parser:
         pos = self.pos
         prefixes: list[Prefix] = []
         while True:
-            kind, text, start, end = toks[pos]
-            if kind == "name" or kind == "quote":
-                co = kind == "quote"
+            tok = toks[pos]
+            if tok == "'" or tok[:1].islower():
+                co = tok == "'"
                 if co:
                     pos += 1
-                    text = _expect(toks, pos, "name", "a name")
-                prefixes.append(Prefix(text, co))
+                    tok = self.name(pos, "a name")
+                prefixes.append(Prefix(tok, co))
                 pos += 1
-                if toks[pos][0] == "dot":
+                if toks[pos] == ".":
                     pos += 1
                     continue
                 t = NIL
-            elif kind == "zero":
+            elif tok == "0":
                 pos += 1
                 t = NIL
-            elif kind == "var":
+            elif tok[:1].isupper():
                 if not allow_var:
-                    raise ParseError("variables are not part of this calculus", SourceSpan(start, end))
+                    raise self.error("variables are not part of this calculus", pos)
                 pos += 1
-                t = Var(text)
-            elif kind == "lpar":
+                t = Var(tok)
+            elif tok == "(":
                 self.pos = pos + 1
                 t = self.ccs_term(allow_sum, allow_var)
                 pos = self.pos
-                _expect(toks, pos, "rpar", "')'")
+                self.close(pos, ")")
                 pos += 1
             else:
-                raise _unexpected(toks[pos], "a term")
+                raise self.unexpected(pos, "a term")
             break
         self.pos = pos
         for p in reversed(prefixes):
@@ -188,7 +207,7 @@ class _Parser:
         """chain ('|' chain)*; env holds the binder names in scope, innermost
         first."""
         parts = [self.pi_chain(env)]
-        while self.toks[self.pos][0] == "bar":
+        while self.toks[self.pos] == "|":
             self.pos += 1
             parts.append(self.pi_chain(env))
         return PiPar(parts)
@@ -203,34 +222,31 @@ class _Parser:
         links: list[tuple] = []  # (chan,) input, (chan, payload) output, () restriction
         binders = 0
         while True:
-            kind, text, start, end = toks[pos]
-            if kind == "name":
-                chan = _pi_ref(text, env)
-                after = toks[pos + 1][0]
-                if after == "lpar":
-                    binder = _expect(toks, pos + 2, "name", "a binder name")
-                    _expect(toks, pos + 3, "rpar", "')'")
+            tok = toks[pos]
+            if tok[:1].islower():
+                chan = _pi_ref(tok, env)
+                after = toks[pos + 1]
+                if after == "(":
+                    binder = self.name(pos + 2, "a binder name")
+                    self.close(pos + 3, ")")
                     links.append((chan,))
                     env.insert(0, binder)
                     binders += 1
-                elif after == "lt":
-                    payload = _pi_ref(_expect(toks, pos + 2, "name", "a name"), env)
-                    _expect(toks, pos + 3, "gt", "'>'")
+                elif after == "<":
+                    payload = _pi_ref(self.name(pos + 2, "a name"), env)
+                    self.close(pos + 3, ">")
                     links.append((chan, payload))
                 else:
-                    raise ParseError(
-                        "a bare name is not a pi term", SourceSpan(start, end), ("'('", "'<'")
-                    )
+                    raise self.error("a bare name is not a pi term", pos, ("'('", "'<'"))
                 pos += 4
-                if toks[pos][0] == "dot":
+                if toks[pos] == ".":
                     pos += 1
                     continue
                 t = PI_NIL
-            elif kind == "lpar":
-                after = toks[pos + 1]
-                if after[0] == "name" and after[1] == "nu":
-                    binder = _expect(toks, pos + 2, "name", "a binder name")
-                    _expect(toks, pos + 3, "rpar", "')'")
+            elif tok == "(":
+                if toks[pos + 1] == "nu":
+                    binder = self.name(pos + 2, "a binder name")
+                    self.close(pos + 3, ")")
                     links.append(())
                     env.insert(0, binder)
                     binders += 1
@@ -239,13 +255,13 @@ class _Parser:
                 self.pos = pos + 1
                 t = self.pi_term(env)
                 pos = self.pos
-                _expect(toks, pos, "rpar", "')'")
+                self.close(pos, ")")
                 pos += 1
-            elif kind == "zero":
+            elif tok == "0":
                 pos += 1
                 t = PI_NIL
             else:
-                raise _unexpected(toks[pos], "a term")
+                raise self.unexpected(pos, "a term")
             break
         self.pos = pos
         del env[:binders]
@@ -265,7 +281,7 @@ def _pi_ref(name: str, env: list[str]) -> FreeName | BoundName:
 
 def parse_ccs(text: str) -> Term:
     """Sum-free terms; uppercase identifiers parse as variables."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = p.ccs_term(allow_sum=False, allow_var=True)
     p.done()
     return t
@@ -273,14 +289,14 @@ def parse_ccs(text: str) -> Term:
 
 def parse_ccs_plus(text: str) -> Term:
     """Terms with guarded sums; variables are rejected."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = p.ccs_term(allow_sum=True, allow_var=False)
     p.done()
     return t
 
 
 def parse_pi(text: str) -> PiTerm:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = p.pi_term([])
     p.done()
     return t

@@ -8,8 +8,9 @@ constructor, its class, and that constructor applies these rules, so no
 term can be built in non-canonical form.
 
 Nodes are hash-consed: a constructor looks its canonical result up in its
-class's own intern table, keyed by the node's one field or by its fields
-tuple, and returns the node already there.  Structurally congruent terms
+class's own intern table, keyed by the node's one field or, for a class of
+several fields, through one nested dict per field, and returns the node
+already there.  No node keeps a key tuple.  Structurally congruent terms
 are therefore the same object, and equality and hashing are the identity
 ones inherited from `object`.  The intern tables hold every node ever built
 and live as long as the process.  They are never cleared: a term held in
@@ -42,12 +43,17 @@ class Node:
 
     A concrete class declares its structural fields as `__slots__` and
     `_fields`, and builds instances with `_make`.  Every class gets its own
-    intern table, `_table`, from `__init_subclass__`: it is keyed by the
-    field itself for a class of one field (so a hit on a `Par` looks up its
-    parts tuple and builds no key), and by the fields tuple otherwise.
-    `_make` publishes a new node with `dict.setdefault`, so two threads can
-    never publish two nodes for one key.  `_derive` may fill further slots
-    computed once per node from its fields.  `_make` itself fills `_key`,
+    intern table, `_table`, from `__init_subclass__`.  For a class of one
+    field it is keyed by the field itself (so a hit on a `Par` looks up its
+    parts tuple and builds no key).  For a class of k >= 2 fields it is k
+    nested dicts, `_table[f1]...[fk]`: each field but the last picks the
+    next level, and the last keys the node, so no node keeps a fields tuple.
+    The field with many values, the child term, must come last, so that the
+    inner dicts stay few: one per name, prefix, channel or channel pair.  A
+    class of no fields keys its one node by None.  `_intern` publishes every
+    new level and node with `dict.setdefault`, so two threads can never
+    publish two nodes for one key.  `_derive` may fill further slots
+    computed once per node from its fields.  `_intern` itself fills `_key`,
     built from the children's keys (see `sort_key`), so no walk derives it.
     """
 
@@ -62,19 +68,34 @@ class Node:
 
     @classmethod
     def _make(cls, *fields):
-        key = fields[0] if len(fields) == 1 else fields
-        node = cls._table.get(key)
+        # a hit reads one level per field; the last level holds the node
+        node = cls._table
+        for f in fields:
+            node = node.get(f)
+            if node is None:
+                return cls._intern(fields)
+        return node if fields else cls._intern(fields)
+
+    @classmethod
+    def _intern(cls, fields: tuple):
+        """The node of fields, built and published if none is yet.  Each
+        level of the table is published by `setdefault`, as the node is."""
+        table = cls._table
+        for f in fields[:-1]:
+            table = table.setdefault(f, {})
+        key = fields[-1] if fields else None
+        node = table.get(key)
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-            # a tuple key is the fields, or the children of the one tuple
-            # field, whose keys then follow the rank flat
-            items = key if type(key) is tuple else fields
+            # the children of a class whose one field is a tuple follow the
+            # rank flat
+            items = key if len(fields) == 1 and type(key) is tuple else fields
             order = (cls._rank, *[f._key if isinstance(f, Node) else f for f in items])
             object.__setattr__(node, "_key", order)
             node._derive()
-            node = cls._table.setdefault(key, node)
+            node = table.setdefault(key, node)
         return node
 
     def _derive(self) -> None:

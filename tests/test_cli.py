@@ -505,6 +505,28 @@ def test_enumerate_list_takes_no_suite(capsys):
     assert err.startswith("usage error: ") and "cancellation" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--size-bound", "3"], ["--seed", "1", "--count", "2"], ["--sample", "0"]],
+    ids=["size-bound", "seed-count", "sample"],
+)
+def test_enumerate_list_takes_no_suite_flag(capsys, flags):
+    # it used to drop the flag, print the list and exit 0
+    code, out, err = run(capsys, "enumerate", "--list", *flags, "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: --list does not take ")
+    assert all(f in err for f in flags if f.startswith("--"))
+
+
+def test_enumerate_list_as_json(capsys):
+    # it used to print the plain-text list whatever the format
+    code, out, err = run(capsys, "enumerate", "--list", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == list(SUITES)
+    code, text, _ = run(capsys, "enumerate", "--list")
+    assert code == 0 and text.splitlines() == list(SUITES)
+
+
 def test_enumerate_lets_a_fault_inside_a_suite_propagate(monkeypatch):
     # a KeyError raised by a suite (refine_partition on a table that is not
     # well founded, say) is a program fault, not an unknown suite

@@ -1,8 +1,10 @@
 """Concrete syntax: parsing, printing, round trips."""
 
+import itertools
 import random
 
 import pytest
+import syntax_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from ccspi.syntax import (
     print_ccs,
     print_pi,
     print_term,
+    tokenize,
 )
 from ccspi.terms import NIL, Act, Par, Prefix, Sum, Var
 
@@ -117,6 +120,75 @@ def test_parse_error_message_span_and_expected(calculus, text, message, span, ex
         parse(text)
     err = exc.value
     assert (err.message, (err.span.start, err.span.end), err.expected) == (message, span, expected)
+
+
+def _outcome(parse, text):
+    """The node parse builds from text, or its error's message, span and
+    expected tokens."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (e.message, (e.span.start, e.span.end), e.expected)
+
+
+def _mutants(count):
+    """Printed random CCS, CCS+ and pi terms, each with one character
+    inserted, deleted or replaced."""
+    rng = random.Random(18)
+    plus = ccs_plus_terms_upto(3, prefix_alphabet(("a", "b", "c")))
+    chars = (";", "\u00e9", "1", "_", "<", ")", "(", " ", "\n")
+    texts = []
+    for i in range(count):
+        if i % 3 == 0:
+            text = print_ccs(random_ccs_open(rng, 6, ("X", "Y")))
+        elif i % 3 == 1:
+            text = print_ccs(rng.choice(plus))
+        else:
+            text = print_pi(random_pi(rng, 4, 2, ("a", "b", "c")))
+        at = rng.randrange(len(text) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert":
+            text = text[:at] + rng.choice(chars) + text[at:]
+        elif at < len(text):
+            text = text[:at] + (rng.choice(chars) if edit == "replace" else "") + text[at + 1 :]
+        texts.append(text)
+    return texts
+
+
+def test_tokenize_agrees_with_the_reference_on_every_short_text():
+    # the first character that starts no token is found by one search, not
+    # by a token scan; a digit or underscore is one only where no letter
+    # precedes it in its run of identifier characters
+    for k in range(5):
+        for chars in itertools.product("0 1_aZ;\u00e9.", repeat=k):
+            text = "".join(chars)
+            try:
+                expected = [tok[1] for tok in ref.tokenize(text)]
+            except ParseError as e:
+                expected = (e.message, e.span)
+            try:
+                got = tokenize(text)
+            except ParseError as e:
+                got = (e.message, e.span)
+            assert got == expected, text
+
+
+def test_parsers_agree_with_the_reference_on_mutated_terms():
+    # the reference keeps each token's kind and offsets in a tuple; the
+    # parsers read kinds off bare texts and find offsets only for an error
+    outcomes = set()
+    for text in _mutants(2000):
+        for parse, reference in (
+            (parse_ccs, ref.parse_ccs),
+            (parse_ccs_plus, ref.parse_ccs_plus),
+            (parse_pi, ref.parse_pi),
+        ):
+            got = _outcome(parse, text)
+            assert got == _outcome(reference, text), text
+            outcomes.add(got[0] if isinstance(got, tuple) else "parsed")
+    # the texts reach parsed terms and errors of the tokenizer and parsers
+    assert {"parsed", "a bare name is not a pi term", "summands must be prefixed"} < outcomes
+    assert any(o.startswith("unexpected character") for o in outcomes)
 
 
 @pytest.mark.parametrize("parse", [parse_ccs, parse_ccs_plus])

@@ -1,16 +1,29 @@
 """Canonical term representation: interned constructors, measures, renaming."""
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from canonical_form import is_canonical
-from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
+from ccspi.generate import (
+    ccs_plus_terms_upto,
+    ccs_terms_upto,
+    pi_terms_upto,
+    prefix_alphabet,
+    random_ccs_open,
+    random_pi,
+)
 from ccspi.lts import TAU, Tau
+from ccspi.pi import FreeName, PiPar
 from ccspi.terms import (
     NIL,
     Act,
     Nil,
+    Node,
     Par,
     Prefix,
     Sum,
@@ -142,6 +155,104 @@ def test_equal_terms_are_one_object():
     # every class has its own intern table: equal fields, different classes
     assert Par((a0, b0)) is not Sum((a0, b0))
     assert TAU is Tau() and Prefix("a") is Prefix("a")
+
+
+# interning -----------------------------------------------------------------
+
+
+def _all_nodes(roots):
+    """Every node reachable from the roots through their fields, prefixes and
+    name references included, each once."""
+    seen = {}
+    todo = list(roots)
+    while todo:
+        n = todo.pop()
+        if n in seen:
+            continue
+        seen[n] = None
+        for f in n._fields:
+            value = getattr(n, f)
+            if isinstance(value, Node):
+                todo.append(value)
+            elif isinstance(value, tuple):
+                todo.extend(value)
+    return list(seen)
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [
+        lambda: ccs_terms_upto(5, prefix_alphabet(("a", "b"))),
+        lambda: ccs_plus_terms_upto(3, prefix_alphabet(("a", "b", "c"))),
+        lambda: pi_terms_upto(2, 2, ("a", "b", "c")),
+    ],
+    ids=["ccs-5-ab", "ccs+-3-abc", "pi-2-2-abc"],
+)
+def test_rebuilding_a_node_from_its_fields_returns_it(universe):
+    nodes = _all_nodes(universe())
+    for n in nodes:
+        assert type(n)._make(*[getattr(n, f) for f in n._fields]) is n
+
+
+def _node_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+def test_intern_tables_hold_no_tuple_key_but_parts():
+    # a class of k >= 2 fields interns through k nested dicts, one level per
+    # field, so no node keeps its fields tuple as a key; only the one field
+    # of a parallel composition or a sum is a tuple
+    ccs_terms_upto(4, prefix_alphabet(("a", "b")))
+    pi_terms_upto(2, 2, ("a", "b", "c"))
+    for cls in _node_classes():
+        tables, keys = [cls._table], []
+        for _ in range(len(cls._fields) - 1):
+            keys += [k for t in tables for k in t]
+            tables = [sub for t in tables for sub in t.values()]
+        keys += [k for t in tables for k in t]
+        if cls in (Par, Sum, PiPar):
+            assert all(type(k) is tuple for k in keys)
+        else:
+            assert not any(isinstance(k, tuple) for k in keys), cls.__name__
+        assert all(type(n) is cls for t in tables for n in t.values()), cls.__name__
+
+
+def test_threads_building_the_same_fresh_terms_get_one_object_each():
+    # names no other test builds, so every node below is new to the tables
+    names = ("thread_a", "thread_b", "thread_c")
+
+    def build():
+        rng = random.Random(18)
+        terms = [random_ccs_open(rng, 6, ("X", "Y"), names) for _ in range(1000)]
+        return terms + [random_pi(rng, 4, 2, names) for _ in range(1000)]
+
+    assert not any(n in Prefix._table or n in FreeName._table for n in names)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = build()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside _make too
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first = results[0]
+    assert len(first) == 2000
+    for other in results[1:]:
+        assert all(x is y for x, y in zip(first, other, strict=True))
+    for n in _all_nodes(first):
+        assert type(n)._make(*[getattr(n, f) for f in n._fields]) is n
 
 
 @given(raw_term_st())
