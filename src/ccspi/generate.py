@@ -1,18 +1,19 @@
 """Bounded enumeration and seeded random generation of canonical terms.
 
-Enumerators build every canonical term within a size bound exactly once
-(up to final set-deduplication) and return them in a deterministic order:
-ascending size, then the canonical term order.  Sizes count prefix
-occurrences.
+Enumerators build every canonical term within a size bound exactly once,
+each parallel composition and each sum from one multiset of components,
+and return them in a deterministic order: ascending size, then the
+canonical term order.  Sizes count prefix occurrences.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, combinations_with_replacement, groupby, product
+from typing import Callable, Iterator
 
-from .terms import NIL, Act, Par, Prefix, Sum, Term, Var, size, sort_key
+from .terms import NIL, Act, Par, Prefix, Sum, Term, Var, sort_key
 from .pi import (
     PI_NIL,
     BoundName,
@@ -32,74 +33,67 @@ def prefix_alphabet(names: tuple[str, ...]) -> tuple[Prefix, ...]:
     return tuple(sorted(Prefix(n, co) for n in names for co in (False, True)))
 
 
-def _partitions(n: int, max_parts: int | None = None, least: int = 1) -> list[tuple[int, ...]]:
-    """Additive partitions of n into parts >= least, non-increasing order."""
-    out: list[tuple[int, ...]] = []
+def _splits(budget: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every way to share budget, a tuple of counts, among two or more
+    parts that are not all zero, once each: as the non-increasing tuple of
+    its parts."""
+    zero = (0,) * len(budget)
+    out: list[tuple[tuple[int, ...], ...]] = []
 
-    def go(remaining: int, cap: int, acc: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(acc)
+    def go(left: tuple[int, ...], cap: tuple[int, ...], acc: tuple[tuple[int, ...], ...]) -> None:
+        if left == zero:
+            if len(acc) >= 2:
+                out.append(acc)
             return
-        if max_parts is not None and len(acc) == max_parts:
-            return
-        for part in range(min(cap, remaining), least - 1, -1):
-            go(remaining - part, part, acc + (part,))
+        for part in product(*(range(k + 1) for k in left)):
+            if zero < part <= cap:
+                go(tuple(k - d for k, d in zip(left, part)), part, acc + (part,))
 
-    go(n, n, ())
+    go(budget, budget, ())
     return out
 
 
+def _picks(parts: tuple, pool: Callable[[tuple], tuple], distinct: bool) -> Iterator[list]:
+    """Every multiset of members that draws one member of pool(part) for
+    each part, once each.  Equal parts, adjacent in a non-increasing tuple,
+    draw their members together: as combinations when the members must be
+    distinct, else as combinations with replacement."""
+    draw = combinations if distinct else combinations_with_replacement
+    groups = [draw(pool(part), len(list(run))) for part, run in groupby(parts)]
+    for chosen in product(*groups):
+        yield [member for group in chosen for member in group]
+
+
 @lru_cache(maxsize=None)
-def _prefixed_of_size(n: int, alphabet: tuple[Prefix, ...], sums: bool) -> tuple[Term, ...]:
+def _level(n: int, alphabet: tuple[Prefix, ...], sums: bool) -> tuple[tuple[Term, ...], ...]:
+    """The canonical ground terms with exactly n prefixes, with guarded sums
+    or sum-free, as (prefixed, components, terms): the prefixed terms; the
+    parallel components, which with sums add the sums of >= 2 distinct
+    prefixed terms (idempotence would collapse equal summands); and all of
+    them, components and parallel compositions of >= 2 components, sorted.
+    The first two are pools for `_picks`, in no particular order."""
     if n == 0:
-        return ()
-    return tuple(
-        sorted(
-            (Act(p, t) for p in alphabet for t in _terms_of_size(n - 1, alphabet, sums)),
-            key=sort_key,
+        return (), (), (NIL,)
+    prefixed = tuple(Act(p, t) for p in alphabet for t in _level(n - 1, alphabet, sums)[2])
+    splits = _splits((n,))
+    components = prefixed
+    if sums:
+        components += tuple(
+            Sum(c)
+            for parts in splits
+            for c in _picks(parts, lambda part: _level(*part, alphabet, sums)[0], True)
         )
-    )
-
-
-@lru_cache(maxsize=None)
-def _components_of_size(n: int, alphabet: tuple[Prefix, ...], sums: bool) -> tuple[Term, ...]:
-    """The parallel components with exactly n prefixes: the prefixed terms
-    and, with sums, the sums of >= 2 distinct prefixed terms (idempotence
-    collapses duplicate summands, which would change the size)."""
-    prefixed = _prefixed_of_size(n, alphabet, sums)
-    if not sums:
-        return prefixed
-    found: set[Term] = set(prefixed)
-    for parts in _partitions(n):
-        if len(parts) < 2:
-            continue
-        pools = [_prefixed_of_size(k, alphabet, sums) for k in parts]
-        for combo in product(*pools):
-            t = Sum(combo)
-            if isinstance(t, Sum) and size(t) == n:
-                found.add(t)
-    return tuple(sorted(found, key=sort_key))
-
-
-@lru_cache(maxsize=None)
-def _terms_of_size(n: int, alphabet: tuple[Prefix, ...], sums: bool) -> tuple[Term, ...]:
-    """All canonical ground terms with exactly n prefixes, with guarded
-    sums or sum-free."""
-    if n == 0:
-        return (NIL,)
-    found: set[Term] = set(_components_of_size(n, alphabet, sums))
-    for parts in _partitions(n):
-        if len(parts) < 2:
-            continue
-        pools = [_components_of_size(k, alphabet, sums) for k in parts]
-        for combo in product(*pools):
-            found.add(Par(combo))
-    return tuple(sorted(found, key=sort_key))
+    terms = list(components)
+    for parts in splits:
+        for c in _picks(parts, lambda part: _level(*part, alphabet, sums)[1], False):
+            terms.append(Par(c))
+    terms.sort(key=sort_key)
+    return prefixed, components, tuple(terms)
 
 
 def ccs_terms_of_size(n: int, alphabet: tuple[Prefix, ...]) -> tuple[Term, ...]:
     """All canonical sum-free ground terms with exactly n prefixes."""
-    return _terms_of_size(n, alphabet, False)
+    return _level(n, alphabet, False)[2]
 
 
 def ccs_terms_upto(n: int, alphabet: tuple[Prefix, ...]) -> list[Term]:
@@ -112,7 +106,7 @@ def ccs_terms_upto(n: int, alphabet: tuple[Prefix, ...]) -> list[Term]:
 def ccs_plus_terms_upto(n: int, alphabet: tuple[Prefix, ...]) -> list[Term]:
     out: list[Term] = []
     for k in range(n + 1):
-        out.extend(_terms_of_size(k, alphabet, True))
+        out.extend(_level(k, alphabet, True)[2])
     return out
 
 
@@ -124,62 +118,41 @@ def ccs_plus_terms_upto(n: int, alphabet: tuple[Prefix, ...]) -> list[Term]:
 def _pi_cells(prefix_count: int, nu_count: int, frees: tuple[str, ...], depth: int):
     """Canonical pi terms with exactly the given prefix and restriction
     counts, under `depth` enclosing binders (all of which may be referenced).
-    Returns (all_terms, non_par_terms); the latter are legal Par components."""
+    Returns (all_terms, non_par_terms): the former sorted, the latter, the
+    legal Par components, a pool for `_picks` in no particular order.  A
+    term's counts fix its cell, so the pools of distinct cells are
+    disjoint."""
     channels: tuple[NameRef, ...] = tuple(FreeName(n) for n in frees) + tuple(
         BoundName(k) for k in range(depth)
     )
-    comps: set[PiTerm] = set()
+    comps: list[PiTerm] = []
     if prefix_count > 0:
-        for body in _pi_all(prefix_count - 1, nu_count, frees, depth + 1):
-            for c in channels:
-                comps.add(PiInput(c, body))
-        for body in _pi_all(prefix_count - 1, nu_count, frees, depth):
-            for c in channels:
-                for payload in channels:
-                    comps.add(PiOutput(c, payload, body))
+        for body in _pi_cells(prefix_count - 1, nu_count, frees, depth + 1)[0]:
+            comps.extend(PiInput(c, body) for c in channels)
+        for body in _pi_cells(prefix_count - 1, nu_count, frees, depth)[0]:
+            comps.extend(PiOutput(c, payload, body) for c in channels for payload in channels)
     if nu_count > 0:
-        for body in _pi_all(prefix_count, nu_count - 1, frees, depth + 1):
+        for body in _pi_cells(prefix_count, nu_count - 1, frees, depth + 1)[0]:
             if body._dangling & 1:
-                comps.add(PiNu(body))
-    terms: set[PiTerm] = set(comps)
-    if prefix_count + nu_count == 0:
-        terms.add(PI_NIL)
-    splits: list[list[tuple[int, int]]] = []
-
-    def split_budgets(p_left: int, v_left: int, acc: list[tuple[int, int]]) -> None:
-        if len(acc) >= 2 and p_left == 0 and v_left == 0:
-            splits.append(list(acc))
-        for dp in range(p_left + 1):
-            for dv in range(v_left + 1):
-                if dp + dv == 0:
-                    continue
-                cell = (dp, dv)
-                if acc and cell > acc[-1]:
-                    continue  # non-increasing budget tuples avoid some dups
-                split_budgets(p_left - dp, v_left - dv, acc + [cell])
-
-    split_budgets(prefix_count, nu_count, [])
-    for budgets in splits:
-        pools = [_pi_cells(dp, dv, frees, depth)[1] for dp, dv in budgets]
-        for combo in product(*pools):
-            t = PiPar(combo)
-            if pi_size(t) == prefix_count:
-                terms.add(t)
-    return tuple(sorted(terms, key=sort_key)), tuple(sorted(comps, key=sort_key))
-
-
-def _pi_all(prefix_count: int, nu_count: int, frees: tuple[str, ...], depth: int):
-    return _pi_cells(prefix_count, nu_count, frees, depth)[0]
+                comps.append(PiNu(body))
+    terms = list(comps) if prefix_count + nu_count else [PI_NIL]
+    for parts in _splits((prefix_count, nu_count)):
+        for c in _picks(parts, lambda part: _pi_cells(*part, frees, depth)[1], False):
+            terms.append(PiPar(c))
+    terms.sort(key=sort_key)
+    return tuple(terms), tuple(comps)
 
 
 def pi_terms_upto(max_prefixes: int, max_nus: int, frees: tuple[str, ...]) -> list[PiTerm]:
     """All closed canonical terms with at most the given numbers of prefixes
     and restrictions, free names drawn from frees."""
-    found: set[PiTerm] = set()
-    for p in range(max_prefixes + 1):
-        for v in range(max_nus + 1):
-            found.update(_pi_all(p, v, frees, 0))
-    return sorted(found, key=lambda t: (pi_size(t), sort_key(t)))
+    terms = [
+        t
+        for p in range(max_prefixes + 1)
+        for v in range(max_nus + 1)
+        for t in _pi_cells(p, v, frees, 0)[0]
+    ]
+    return sorted(terms, key=lambda t: (pi_size(t), sort_key(t)))
 
 
 # --------------------------------------------------------------------------

@@ -460,9 +460,12 @@ def pi_congruence(
     coincide on all pairs exactly when the three partitions of the universe
     are identical.  Substitution images of universe terms are universe
     terms, so closure asks that each ground class's images share a ground
-    block.  The games stay the independent route: seeded random pairs must
-    get the refinement's verdict in all three modes, and sampled pairs of a
-    ground class must win the ground game and transfer to their erasures.
+    block.  It counts the (class, substitution) pairs that move some
+    member, and fails when none does: closure would then compare each class
+    with itself.  The games stay the independent route: seeded random pairs
+    must get the refinement's verdict in all three modes, and sampled pairs
+    of a ground class must win the ground game and transfer to their
+    erasures.
     """
     universe = pi_terms_upto(max_prefixes, max_nus, frees)
     ctx = ErasureContext(frees[0], frees[1])
@@ -489,6 +492,7 @@ def pi_congruence(
             )
 
     bis_pairs = 0
+    moved = 0
     sample_pairs: list[tuple[PiTerm, PiTerm]] = []
     for cls in ground_classes:
         if len(cls) == 1:
@@ -504,10 +508,14 @@ def pi_congruence(
                 + ", ".join(print_pi(t) for t in cls[:2])
             )
         for sg in sigmas:
-            images = {ground.get((pi_substitute(t, sg), 0)) for t in cls}
+            images = [pi_substitute(t, sg) for t in cls]
+            moved += any(u is not t for u, t in zip(images, cls))
+            blocks = {ground.get((u, 0)) for u in images}
             checked += len(cls)
-            if len(images) > 1 or None in images:
+            if len(blocks) > 1 or None in blocks:
                 failures.append(f"substitution {sg} broke a ground class near {print_pi(cls[0])}")
+    if not moved:
+        failures.append("no substitution moved a member of a ground class")
 
     rng = random.Random(seed)
     for _ in range(cross_sample):
@@ -529,7 +537,8 @@ def pi_congruence(
         failures=failures,
         notes=(
             f"{len(universe)} terms, {len(ground_classes)} ground classes, "
-            f"{bis_pairs} bisimilar pairs covered"
+            f"{bis_pairs} bisimilar pairs covered, "
+            f"{moved} class substitutions moved a member"
         ),
     )
 

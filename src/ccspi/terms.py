@@ -380,18 +380,14 @@ def substitute(t: Term, sigma: Mapping[Name, Name]) -> Term:
     return go(t)
 
 
-def instantiate(t: Term, mapping: Mapping[str, Term], *, require_ground: bool = False) -> Term:
-    """Replace process variables by terms; canonical result.  With
-    require_ground, leftover variables raise instead of being kept."""
+def instantiate(t: Term, mapping: Mapping[str, Term]) -> Term:
+    """Replace process variables by terms; canonical result.  Variables
+    outside mapping are kept."""
 
     def go(u: Term) -> Term:
         match u:
             case Var(ident=v):
-                if v in mapping:
-                    return mapping[v]
-                if require_ground:
-                    raise ValueError(f"variable {v} not covered by the instantiation")
-                return u
+                return mapping.get(v, u)
             case Nil():
                 return u
             case Act(prefix=p, cont=c):

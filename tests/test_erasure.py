@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from ccspi.erasure import ErasureContext, check_erasure_transitions, erase, transfer_check
 from ccspi.generate import random_pi
 from ccspi.lts import transitions
+from ccspi.pi import FreeName, PiInput, PiNu
 from ccspi.rewrite import decide_bisim
 from ccspi.syntax import parse_ccs, parse_pi
-from ccspi.terms import NIL
+from ccspi.terms import NIL, Act, Prefix
 
 CTX = ErasureContext("a", "b")
 
@@ -53,6 +54,40 @@ def test_transition_correspondence_examples():
         "b<a>.b<b>.0 | a(y).0",
     ]:
         assert check_erasure_transitions(parse_pi(src), CTX), src
+
+
+# Faulty erasures, each written as a wrapper that treats the top node its
+# own way and hands the rest to the real erase, which recurses back through
+# the wrapper once it is patched in.
+def _keep_unobserved_inputs(p, ctx):
+    if isinstance(p, PiInput) and isinstance(p.chan, FreeName):
+        return Act(Prefix(p.chan.name), erase(p.body, ctx))
+    return erase(p, ctx)
+
+
+def _drop_continuations(p, ctx):
+    t = erase(p, ctx)
+    return Act(t.prefix, NIL) if isinstance(t, Act) else t
+
+
+def _restrictions_to_nil(p, ctx):
+    return NIL if isinstance(p, PiNu) else erase(p, ctx)
+
+
+@pytest.mark.parametrize(
+    "fault, src",
+    [
+        (_keep_unobserved_inputs, "c(x).0"),
+        (_drop_continuations, "a(x).a(y).0"),
+        (_restrictions_to_nil, "(nu p)(b<p>.0)"),
+    ],
+    ids=["keep-unobserved-inputs", "drop-continuations", "restrictions-to-nil"],
+)
+def test_transition_correspondence_refutes_a_faulty_erasure(monkeypatch, fault, src):
+    p = parse_pi(src)
+    assert check_erasure_transitions(p, CTX)
+    monkeypatch.setattr("ccspi.erasure.erase", fault)
+    assert not check_erasure_transitions(p, CTX)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -15,6 +15,7 @@ from ccspi.generate import (
     random_ccs_open,
     random_pi,
 )
+import generate_reference as reference
 from canonical_form import is_canonical
 from ccspi.pi import dangling, pi_size
 from ccspi.syntax import print_pi
@@ -231,3 +232,23 @@ def test_all_substitutions():
     assert len(subs) == 4
     assert {"a": "a", "b": "a"} in subs
     assert all(set(s.keys()) == {"a", "b"} for s in subs)
+
+
+def test_universes_match_the_product_and_dedup_reference():
+    """Each universe, built once per multiset of components, is the one the
+    product-and-dedup enumerators built: the same terms in the same order,
+    none twice."""
+    for names, bound in ((("a", "b"), 5), (("a", "b", "c"), 4)):
+        alphabet = prefix_alphabet(names)
+        got = ccs_terms_upto(bound, alphabet)
+        assert got == reference.ccs_terms_upto(bound, alphabet)
+        assert len(set(got)) == len(got)
+    for names, bound in ((("a", "b"), 4), (("a", "b", "c"), 3)):
+        alphabet = prefix_alphabet(names)
+        got = ccs_plus_terms_upto(bound, alphabet)
+        assert got == reference.ccs_plus_terms_upto(bound, alphabet)
+        assert len(set(got)) == len(got)
+    for bounds in ((3, 1, ("a", "b")), (2, 2, ("a", "b", "c"))):
+        got = pi_terms_upto(*bounds)
+        assert got == reference.pi_terms_upto(*bounds)
+        assert len(set(got)) == len(got)

@@ -391,7 +391,19 @@ def test_pi_blocks_need_closed_terms_over_the_given_names():
 def test_pi_congruence_at_reduced_bounds():
     report = run_suite("pi-congruence", max_prefixes=2, max_nus=2, frees=("a", "b", "c"))
     assert report.passed, report.failures
-    assert report.notes == "1536 terms, 404 ground classes, 106624 bisimilar pairs covered"
+    assert report.notes == (
+        "1536 terms, 404 ground classes, 106624 bisimilar pairs covered, "
+        "3112 class substitutions moved a member"
+    )
+
+
+def test_pi_congruence_fails_when_substitution_moves_nothing(monkeypatch):
+    # with pi_substitute as the identity, closure compares each class with
+    # itself; the suite must say that it checked nothing
+    monkeypatch.setattr("ccspi.suites.pi_substitute", lambda t, sigma: t)
+    report = run_suite("pi-congruence", max_prefixes=2, max_nus=1, frees=("a", "b"))
+    assert report.failures == ["no substitution moved a member of a ground class"]
+    assert report.notes.endswith(", 0 class substitutions moved a member")
 
 
 # classification -------------------------------------------------------------
