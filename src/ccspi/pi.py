@@ -25,7 +25,8 @@ shift.  Two memos keep renamings across calls: `open_binder` results per
 (node, name), and `pi_substitute` results per node and images of its free
 names at every level of the walk, so a subterm is renamed once for all
 substitutions that agree on its free names.  They share the game memo's
-lifetime: `clear_bisim_memo` empties all three.
+lifetime: `clear_bisim_memo` empties all three, and `suites.run_suite`
+calls it when each suite ends.
 
 Transition residuals for input and bound-output actions are returned as
 bodies with the transmitted name still abstracted (dangling index 0); the
@@ -461,7 +462,7 @@ _BISIM_MEMO: dict[tuple[PiTerm, PiTerm, str], bool] = {}
 def clear_bisim_memo() -> None:
     """Drop the shared game cache and the two renaming memos of
     `open_binder` and `pi_substitute`.  They grow with every game played and
-    every renaming; the pi suites call this once, when they finish, so a
+    every renaming; `suites.run_suite` calls this when each suite ends, so a
     suite leaves no positions or renamings behind for the next one."""
     _BISIM_MEMO.clear()
     _OPEN_MEMO.clear()
@@ -637,7 +638,8 @@ def classify_transitions(p: PiTerm, sigma: Mapping[str, str]) -> list[Classified
     observed one (case 1).  A tau either comes from a tau of p (2a) or from
     an output/input pair offered concurrently by p on channels that sigma
     identifies: free output (2b) or bound output (2c), with the reconstructed
-    residual ground-bisimilar to the observed one.
+    residual ground-bisimilar to the observed one.  One entry per move of
+    `late_transitions(p.sigma)`, in its order.
     """
     ps = pi_substitute(p, sigma)
     tp = late_transitions(p)
@@ -653,7 +655,7 @@ def classify_transitions(p: PiTerm, sigma: Mapping[str, str]) -> list[Classified
                 return BoundOutAct(sigma.get(c, c))
         return a
 
-    for act_s, res_s in sorted(late_transitions(ps), key=lambda e: (str(e[0]), sort_key(e[1]))):
+    for act_s, res_s in late_transitions(ps):
         tag: str | None = None
         if not isinstance(act_s, PiTauAct):
             for a, res in tp:

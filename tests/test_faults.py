@@ -1,0 +1,222 @@
+"""Named faults that the thirteen suites must catch, and faults that a
+theorem makes harmless.
+
+Each fault is patched into a fresh interpreter, which runs every suite at
+the reduced bounds of the benchmark self-test and prints the names of the
+suites that fail.  In this interpreter the moves stored on interned nodes,
+the `normalize` cache and the pi memos left by earlier tests would hide the
+fault.
+
+`python tests/test_faults.py <fault>` prints one fault's failing suites.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+import ccspi
+from ccspi.suites import SUITES, run_suite
+
+# the bounds of `TINY` in perfbench/workloads.py; md-with-sums takes none
+REDUCED = {
+    "nf-oracle-agreement": {"size_bound": 3, "sample": 50},
+    "replication-ladder": {"n_max": 4},
+    "confluence-termination": {"size_bound": 3},
+    "cancellation": {"size_bound": 3},
+    "contribution-invariance": {"size_bound": 3},
+    "no-md-sumfree": {"component_size": 2, "diagram_size": 3},
+    "dsim-canonical": {"size_bound": 2},
+    "dsim-separation": {"size_bound": 2},
+    "open-normalization": {"count": 50},
+    "pi-congruence": {"max_prefixes": 2, "max_nus": 1, "frees": ("a", "b")},
+    "erasure-random": {"count": 100},
+    "pi-subst-cases": {"count": 100},
+}
+
+
+def normalize_is_identity(mp: pytest.MonkeyPatch) -> None:
+    for module in ("suites", "rewrite", "mirrored"):
+        mp.setattr(f"ccspi.{module}.normalize", lambda t: t)
+
+
+def signature_ignores_successors(mp: pytest.MonkeyPatch) -> None:
+    def labels_only(moves, block, pairs):
+        return tuple(sorted({pairs.setdefault(m[0], len(pairs)) for m in moves}))
+
+    mp.setattr("ccspi.lts._signature", labels_only)
+
+
+def strong_in_place_of_distributed(mp: pytest.MonkeyPatch) -> None:
+    from ccspi.lts import explore, refine_partition, transitions
+
+    def strong_blocks(roots):
+        return refine_partition(explore(roots, transitions).items())
+
+    def strong(p, q):
+        block = strong_blocks([p, q])
+        return block[p] == block[q]
+
+    for module in ("distributed", "suites"):
+        mp.setattr(f"ccspi.{module}.dsim_blocks", strong_blocks)
+        mp.setattr(f"ccspi.{module}.dsim", strong)
+
+
+def no_synchronisation(mp: pytest.MonkeyPatch) -> None:
+    from ccspi import lts
+
+    moves = lts._par_moves
+    mp.setattr("ccspi.lts._par_moves", lambda ps: (m for m in moves(ps) if m[0] is not lts.TAU))
+
+
+def no_bound_output_communication(mp: pytest.MonkeyPatch) -> None:
+    """A parallel composition loses the taus by which a component receives a
+    name that another extrudes."""
+    from ccspi import pi
+
+    late = pi.late_transitions
+
+    def faulty(t):
+        try:
+            return t._moves
+        except AttributeError:
+            pass
+        moves = late(t)
+        if isinstance(t, pi.PiPar):
+            ps = t.parts
+            extruded = set()
+            for i, j in itertools.permutations(range(len(ps)), 2):
+                rest = tuple(r for k, r in enumerate(ps) if k not in (i, j))
+                extruded |= {
+                    pi.PiNu(pi.PiPar((res, res2) + rest))
+                    for a, res in faulty(ps[i])
+                    if isinstance(a, pi.InputAct)
+                    for b, res2 in faulty(ps[j])
+                    if b == pi.BoundOutAct(a.chan)
+                }
+            moves = tuple(m for m in moves if m[0] is not pi.PI_TAU or m[1] not in extruded)
+            pi._store_moves(t, moves)
+        return moves
+
+    mp.setattr("ccspi.pi.late_transitions", faulty)
+
+
+def late_played_as_early(mp: pytest.MonkeyPatch) -> None:
+    from ccspi import pi
+
+    step = pi.pi_step
+    mp.setattr("ccspi.pi.pi_step", lambda frees, mode: step(frees, mode.replace("late", "early")))
+    for module in ("pi", "suites"):
+        mp.setattr(f"ccspi.{module}.late_bisim", pi.early_bisim)
+
+
+def dsim_is_identity(mp: pytest.MonkeyPatch) -> None:
+    from ccspi.lts import d_transitions, explore
+
+    def own_blocks(roots):
+        return {s: i for i, s in enumerate(explore(roots, d_transitions))}
+
+    for module in ("distributed", "suites"):
+        mp.setattr(f"ccspi.{module}.dsim_blocks", own_blocks)
+        mp.setattr(f"ccspi.{module}.dsim", lambda p, q: p is q)
+
+
+@dataclass(frozen=True)
+class Fault:
+    patch: Callable[[pytest.MonkeyPatch], None]
+    # caught: the suites that must fail; equivalent: none may fail
+    must_fail: frozenset[str] = frozenset()
+    # for an equivalent fault, the theorem that makes it harmless
+    theorem: str = ""
+
+
+CAUGHT = {
+    "normalize-is-identity": Fault(
+        normalize_is_identity,
+        frozenset(
+            {"nf-oracle-agreement", "replication-ladder", "confluence-termination", "pi-congruence"}
+        ),
+    ),
+    "signature-ignores-successors": Fault(
+        signature_ignores_successors,
+        frozenset(
+            {
+                "nf-oracle-agreement",
+                "cancellation",
+                "contribution-invariance",
+                "dsim-canonical",
+                "pi-congruence",
+            }
+        ),
+    ),
+    "strong-in-place-of-distributed": Fault(
+        strong_in_place_of_distributed, frozenset({"dsim-canonical"})
+    ),
+    "no-synchronisation": Fault(no_synchronisation, frozenset({"md-with-sums"})),
+    "no-bound-output-communication": Fault(
+        no_bound_output_communication, frozenset({"pi-congruence"})
+    ),
+}
+
+EQUIVALENT = {
+    "late-played-as-early": Fault(
+        late_played_as_early,
+        theorem="strong bisimilarity is a congruence on finite sum-free pi (the paper), "
+        "so ground = late = early",
+    ),
+    "dsim-is-identity": Fault(
+        dsim_is_identity,
+        theorem="distributed bisimilarity is structural congruence on guarded sums "
+        "(Castellani and Hennessy, JACM 36(4), 1989), and canonical forms are interned",
+    ),
+}
+
+
+def failing_suites(name: str) -> list[str]:
+    """The suites that fail with the named fault patched in.  Run it in a
+    fresh interpreter."""
+    fault = {**CAUGHT, **EQUIVALENT}[name]
+    with pytest.MonkeyPatch.context() as mp:
+        fault.patch(mp)
+        return [s for s in SUITES if not run_suite(s, **REDUCED.get(s, {})).passed]
+
+
+def _failing_in_a_fresh_process(name: str) -> set[str]:
+    src = os.path.dirname(os.path.dirname(ccspi.__file__))
+    done = subprocess.run(
+        [sys.executable, __file__, name],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return set(json.loads(done.stdout))
+
+
+def test_every_suite_passes_at_the_reduced_bounds():
+    # else a fault's failing set would say nothing
+    assert [s for s in SUITES if not run_suite(s, **REDUCED.get(s, {})).passed] == []
+
+
+@pytest.mark.parametrize("name", list(CAUGHT))
+def test_the_suites_catch_the_fault(name):
+    assert CAUGHT[name].must_fail
+    assert CAUGHT[name].must_fail <= _failing_in_a_fresh_process(name)
+
+
+@pytest.mark.parametrize("name", list(EQUIVALENT))
+def test_an_equivalent_fault_passes_every_suite(name):
+    assert EQUIVALENT[name].theorem
+    assert _failing_in_a_fresh_process(name) == set()
+
+
+if __name__ == "__main__":
+    print(json.dumps(failing_suites(sys.argv[1])))

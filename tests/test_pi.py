@@ -39,7 +39,8 @@ from ccspi.pi import (
     pi_size,
     pi_substitute,
 )
-from ccspi.suites import run_suite
+from ccspi import pi
+from ccspi.suites import SUITES, run_suite
 from ccspi.syntax import parse_pi
 from test_order import _pi_subterms
 from transitions_reference import distinct
@@ -404,6 +405,31 @@ def test_pi_congruence_fails_when_substitution_moves_nothing(monkeypatch):
     report = run_suite("pi-congruence", max_prefixes=2, max_nus=1, frees=("a", "b"))
     assert report.failures == ["no substitution moved a member of a ground class"]
     assert report.notes.endswith(", 0 class substitutions moved a member")
+
+
+PI_MEMOS = (pi._BISIM_MEMO, pi._OPEN_MEMO, pi._SUBST_MEMO)
+
+
+def test_run_suite_empties_the_pi_memos():
+    run_suite("pi-congruence", max_prefixes=2, max_nus=1, frees=("a", "b"))
+    assert not any(PI_MEMOS)
+
+
+def test_run_suite_empties_the_pi_memos_when_a_suite_raises(monkeypatch):
+    filled = []
+
+    def plays_then_raises():
+        p = parse_pi("(nu x)(a<x>.0) | b(y).y<y>.0")
+        q = parse_pi("(nu x)(a<x>.0 | b(y).y<y>.0)")
+        assert ground_bisim(p, q) and pi_substitute(p, {"a": "b"}) is not p
+        filled.append(all(PI_MEMOS))
+        raise RuntimeError("fault inside a suite")
+
+    monkeypatch.setitem(SUITES, "broken", plays_then_raises)
+    with pytest.raises(RuntimeError, match="fault inside a suite"):
+        run_suite("broken")
+    assert filled == [True]
+    assert not any(PI_MEMOS)
 
 
 # classification -------------------------------------------------------------
