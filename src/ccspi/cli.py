@@ -15,7 +15,9 @@ is `bisim` on (ccs+, distributed).
 
 The argument parser is built once per process, by the first `main` call,
 and shared by every later one; `main` still parses each argv into a fresh
-namespace, so no value carries over from one call to the next.
+namespace, so no value carries over from one call to the next.  `main`
+owns the pi memos on this path: it empties them (`pi.clear_bisim_memo`)
+when each command ends, however it ends.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .distributed import dsim
 from .erasure import ErasureContext, erase
 from .lts import bisimilar_oracle, distinguishing_depth
 from .mirrored import search_md_diagram, search_md_parallel_shape
-from .pi import early_bisim, ground_bisim, late_bisim
+from .pi import clear_bisim_memo, early_bisim, ground_bisim, late_bisim
 from .rewrite import decide_bisim, normalize_steps, prime_decompose
 from .suites import SUITES, run_suite
 from .syntax import (
@@ -432,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return 2
+    finally:
+        # a query's game positions and renamings serve no later query
+        clear_bisim_memo()
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@ parallel components.
 
 Distributed bisimilarity refines over the distributed transitions of
 `lts.d_transitions`, requiring both the local and the concurrent residual
-to match.  It uses the one exploration loop and the one signature of `lts`
-(`explore` and `refine_partition`) with `d_transitions` as the step: each
-move is a flat (action, local, concurrent) tuple, so both residuals are
-explored and both are replaced by their blocks.  On guarded-sum terms
+to match.  It uses the one refinement pass and the one signature of `lts`
+(`refine_partition`) with `d_transitions` as the step: each move is a flat
+(action, local, concurrent) tuple, so both residuals are visited and both
+are replaced by their blocks.  On guarded-sum terms
 distributed bisimilarity coincides with structural congruence and, unlike
 strong bisimilarity, is closed under name substitutions.
 """
@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .lts import d_transitions, explore, refine_partition
+from .lts import d_transitions, refine_partition
 from .terms import Term
 
 
 def dsim_blocks(roots: Iterable[Term]) -> dict:
     """Distributed bisimilarity classes of every state reachable from the
     roots through either residual."""
-    return refine_partition(explore(roots, d_transitions).items())
+    return refine_partition(roots, d_transitions)
 
 
 def dsim(p: Term, q: Term) -> bool:

@@ -11,35 +11,36 @@ part (what the acting components become) and a concurrent part (the
 components that stayed put), giving a flat (action, local, concurrent)
 tuple.  So the strong and distributed relations cannot drift apart.
 
-`transitions` stores a node's moves on the node, as a tuple of distinct
-moves in a fixed order, the first time it is asked for them: they live as
-long as the node, as the intern tables do, and every later call returns
-that same tuple.  `d_transitions` keeps nothing.
+`transitions` and `d_transitions` keep nothing: each call derives the
+moves again, `transitions` in an order fixed by the term alone.
 
 The transition relation consumes one prefix per visible step and two per
 synchronisation, so every transition strictly decreases term size: reachable
 state spaces are finite DAGs.  That is why bisimilarity needs no iterated
 refinement here.  Two states are bisimilar exactly when their sets of
-(action, successor class) pairs agree, and every successor is smaller, so
-one pass in ascending size decides each state's class from classes that are
-already final (the rank-based view of Dovier, Piazza and Policriti, "An
-efficient algorithm for computing bisimulation equivalence", TCS 2004).
+(action, successor class) pairs agree, so a state's class can be decided as
+soon as its successors' classes are, from classes that are already final
+(the well-founded view of Dovier, Piazza and Policriti, "An efficient
+algorithm for computing bisimulation equivalence", TCS 2004).
 
-Strong, distributed and pi bisimilarity share one exploration loop and one
-signature.  `explore` tabulates the moves of every reachable state, a move
-being a flat tuple (label, successor, ...), and `refine_partition` signs a
-state by its set of moves with each successor replaced by its block.  That
-set is kept as numbers: each distinct (label, *blocks) gets a number, once
-per call, and a signature is the sorted tuple of its moves' numbers.  Only
-the step differs: `transitions` itself for strong bisimilarity,
-`d_transitions` itself for distributed bisimilarity, and `pi.pi_step`.
+Strong, distributed and pi bisimilarity share one refinement pass and one
+signature.  `refine_partition` walks the states reachable from its roots
+depth first, a move being a flat tuple (label, successor, ...), and signs
+a state by its set of moves with each successor replaced by its block once
+every successor has one; it then lets the state's moves go, so only the
+states on the current path hold theirs.  That set is kept as numbers: each
+distinct (label, *blocks) gets a number, once per call, and a signature is
+the sorted tuple of its moves' numbers.  Only the step differs:
+`transitions` itself for strong bisimilarity, `d_transitions` itself for
+distributed bisimilarity, and `pi.pi_step`.  `explore` tabulates the moves
+of every reachable state, for the rounds of `distinguishing_depth`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
-from .terms import NIL, Act, Nil, Par, Prefix, Record, Sum, Term, Var, size
+from .terms import NIL, Act, Nil, Par, Prefix, Record, Sum, Term, Var
 
 
 class Tau(Record):
@@ -100,11 +101,6 @@ def _par_moves(ps: tuple[Term, ...]) -> Iterator[Move]:
                         yield TAU, rest, (l1, l2)
 
 
-# writes a node's `_moves` slot past the immutability guard, as `_derive`
-# fills `_size`; only `transitions` writes it, on its first call for the node
-_store_moves = Term._moves.__set__
-
-
 def transitions(t: Term) -> tuple[tuple[Action, Term], ...]:
     """One-step interleaving transitions of a ground canonical term, as a
     tuple of distinct (action, target) moves.
@@ -112,29 +108,21 @@ def transitions(t: Term) -> tuple[tuple[Action, Term], ...]:
     The order is fixed by the term alone, so it is the same in every
     process: a prefix has its one move, a sum its summands' in canonical
     order, and a parallel composition the moves of `_par_moves`, duplicates
-    dropped.  The tuple is stored on the node the first time and returned
-    on every later call (a moves table of `explore` holds it, not a copy);
-    two threads that race on a node compute and store equal tuples."""
-    try:
-        return t._moves
-    except AttributeError:
-        pass
+    dropped.  Nothing is kept: every call derives the tuple again."""
     match t:
         case Par(parts=ps):
             joined = [(a, Par(rest + locs)) for a, rest, locs in _par_moves(ps)]
-            moves = tuple(dict.fromkeys(joined))
+            return tuple(dict.fromkeys(joined))
         case Act(prefix=p, cont=c):
-            moves = ((p, c),)
+            return ((p, c),)
         case Sum(parts=ps):
-            moves = tuple([(s.prefix, s.cont) for s in ps])
+            return tuple([(s.prefix, s.cont) for s in ps])
         case Nil():
-            moves = ()
+            return ()
         case Var():
             raise ValueError("transitions undefined on open terms")
         case _:
             raise TypeError(f"not a term: {t!r}")
-    _store_moves(t, moves)
-    return moves
 
 
 def explore(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> dict:
@@ -182,29 +170,54 @@ def _signature(moves: Iterable[tuple], block: dict, pairs: dict) -> tuple[int, .
     )
 
 
-def refine_partition(
-    table_items: Iterable[tuple[Any, Iterable[tuple]]], rank: Callable[[Any], int] = size
-) -> dict:
-    """Bisimilarity classes of the states of a moves table (the items of
-    what `explore` returns) in one pass.
+def refine_partition(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> dict:
+    """Bisimilarity classes of every state reachable from the roots, in one
+    depth-first pass.
 
-    Every move must strictly lower rank(state).  States are visited in
-    ascending rank, a rank at a time, and each gets the block id of its
-    signature, which reads only the blocks of lower-ranked states, already
-    final.  Equal block ids mean bisimilar.  A move to a state of equal or
-    higher rank raises KeyError: the table is then not well founded under
-    rank."""
-    levels: dict[int, list] = {}
-    for s, moves in table_items:
-        levels.setdefault(rank(s), []).append((s, moves))
+    Each state is stepped once, and gets the block id of its signature as
+    soon as each of its successors has a block, which is then final: the
+    pass numbers blocks in post-order.  Equal block ids mean bisimilar.
+    Until it is signed, a state's moves are held with its place on `todo`,
+    so only the states on the current path keep theirs.  A state met again
+    while it is still being expanded closes a cycle, and raises ValueError:
+    the state space is then not well founded.  A move of one successor
+    (strong, ground and early pi) or of two (distributed) is read without
+    slicing it; only a longer one (a late pi input, one successor per
+    name) is sliced."""
     block: dict = {}
     ids: dict = {}
     pairs: dict = {}
-    for r in sorted(levels):
-        level = levels[r]
-        sigs = [_signature(moves, block, pairs) for _, moves in level]
-        for (s, _), sig in zip(level, sigs):
-            block[s] = ids.setdefault(sig, len(ids))
+    path: dict = {}  # each state being expanded: (its moves, its depth on todo)
+    for root in roots:
+        todo = [root]
+        while todo:
+            s = todo[-1]
+            if s in block:
+                todo.pop()
+                continue
+            if s in path:
+                moves, depth = path.pop(s)
+                if depth != len(todo):
+                    raise ValueError(f"the reachable states hold a cycle through {s!r}")
+            else:
+                moves = step(s)
+                depth = len(todo)
+                for m in moves:
+                    if len(m) == 2:
+                        if m[1] not in block:
+                            todo.append(m[1])
+                    elif len(m) == 3:
+                        if m[1] not in block:
+                            todo.append(m[1])
+                        if m[2] not in block:
+                            todo.append(m[2])
+                    else:
+                        todo += [t for t in m[1:] if t not in block]
+                if len(todo) > depth:
+                    path[s] = moves, depth
+                    continue
+            todo.pop()
+            block[s] = ids.setdefault(_signature(moves, block, pairs), len(ids))
     return block
 
 
@@ -212,7 +225,7 @@ def bisimilar_oracle(p: Term, q: Term) -> bool:
     """Strong bisimilarity by partition refinement over the joint reachable
     state space.  Independent of the normal-form route; with guarded sums it
     uses the sum transition rule."""
-    block = refine_partition(explore([p, q], transitions).items())
+    block = refine_partition([p, q], transitions)
     return block[p] == block[q]
 
 
@@ -223,7 +236,7 @@ def distinguishing_depth(p: Term, q: Term) -> int | None:
     that separates them.  The rounds run only when the one pass has put p
     and q in different blocks, so some round separates them."""
     table = explore([p, q], transitions)
-    final = refine_partition(table.items())
+    final = refine_partition([p, q], table.__getitem__)
     if final[p] == final[q]:
         return None
     block = dict.fromkeys(table, 0)

@@ -26,7 +26,7 @@ shift.  Two memos keep renamings across calls: `open_binder` results per
 names at every level of the walk, so a subterm is renamed once for all
 substitutions that agree on its free names.  They share the game memo's
 lifetime: `clear_bisim_memo` empties all three, and `suites.run_suite`
-calls it when each suite ends.
+calls it when each suite ends, `cli.main` when each command ends.
 
 Transition residuals for input and bound-output actions are returned as
 bodies with the transmitted name still abstracted (dangling index 0); the
@@ -38,9 +38,12 @@ Instantiation names for the games are drawn from a reserved namespace
 ("#0", "#1", ...) disjoint from source-level names.
 
 Besides the games for single pairs, `pi_blocks` gives the classes of a
-whole universe in each mode with the one exploration loop and the one
-signature that strong and distributed bisimilarity use (`lts.explore` and
-`lts.refine_partition`); only its step, `pi_step`, is the pi calculus's own.
+whole universe in each mode with the one refinement pass and the one
+signature that strong and distributed bisimilarity use
+(`lts.refine_partition`); only its step, `pi_step`, is the pi calculus's
+own.  Unlike CCS nodes, whose moves the pass drops once it has signed
+them, pi nodes keep theirs: the games read the moves of the same
+positions again and again.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .lts import explore, refine_partition
+from .lts import refine_partition
 from .terms import Node, Record, flat_par, sort_key
 
 
@@ -462,8 +465,9 @@ _BISIM_MEMO: dict[tuple[PiTerm, PiTerm, str], bool] = {}
 def clear_bisim_memo() -> None:
     """Drop the shared game cache and the two renaming memos of
     `open_binder` and `pi_substitute`.  They grow with every game played and
-    every renaming; `suites.run_suite` calls this when each suite ends, so a
-    suite leaves no positions or renamings behind for the next one."""
+    every renaming; `suites.run_suite` calls this when each suite ends, and
+    `cli.main` when each command ends, so neither leaves positions or
+    renamings behind for the next one."""
     _BISIM_MEMO.clear()
     _OPEN_MEMO.clear()
     _SUBST_MEMO.clear()
@@ -568,7 +572,7 @@ PiState = tuple[PiTerm, int]
 def pi_step(frees: Iterable[str], mode: str) -> Callable[[PiState], list[tuple]]:
     """The step of ground, late or early bisimilarity over closed terms whose
     free names lie in `frees`: the moves of a state, as flat tuples for
-    `explore`.
+    `lts.refine_partition`.
 
     A state (t, d) counts the binders d opened on the way to t: the free
     names of t lie in frees and #0..#d-1, so #d is fresh for it.  Free
@@ -608,8 +612,8 @@ def pi_step(frees: Iterable[str], mode: str) -> Callable[[PiState], list[tuple]]
 def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[PiState, int]:
     """Ground, late or early bisimilarity classes of closed terms whose free
     names lie in `frees`, as block ids of the states (t, 0) for t in roots.
-    Every step of `pi_step` consumes a prefix, so one `refine_partition`
-    pass ranked by `pi_size` decides every class."""
+    Every step of `pi_step` consumes a prefix, so the reachable states hold
+    no cycle and one `refine_partition` pass decides every class."""
     allowed = frozenset(frees)
     step = pi_step(allowed, mode)
     states = []
@@ -617,7 +621,7 @@ def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[
         if not free_names(t) <= allowed or t._dangling:
             raise ValueError(f"not a closed term over {sorted(allowed)}: {t!r}")
         states.append((t, 0))
-    return refine_partition(explore(states, step).items(), rank=lambda state: pi_size(state[0]))
+    return refine_partition(states, step)
 
 
 # --------------------------------------------------------------------------

@@ -35,17 +35,17 @@ def _redex_contractions(prefix: Prefix, cont: Term) -> list[Term]:
     the contractum (eta.P)^(k+1).  Ordered by component for determinism.
 
     A candidate component e = eta.P fixes k: cont's components are P's plus
-    k copies of e, so k = counts[e] - need[e] where need counts P's
-    components, and every other count must agree exactly."""
+    k copies of e, and every other count must agree exactly with need,
+    which counts P's components.  e is larger than every component of P,
+    so it is none of them: k is all of counts[e], at least 1."""
     counts = Counter(parallel_components(cont))
     out: list[Term] = []
     for e in sorted(counts, key=sort_key):
         if not (isinstance(e, Act) and e.prefix == prefix):
             continue
         need = Counter(parallel_components(e.cont))
-        k = counts[e] - need[e]
-        need[e] = counts[e]
-        if k >= 1 and need == counts:
+        k = need[e] = counts[e]
+        if need == counts:
             out.append(Par([e] * (k + 1)))
     return out
 

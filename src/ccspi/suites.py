@@ -28,7 +28,7 @@ from .generate import (
     random_ccs_open,
     random_pi,
 )
-from .lts import bisimilar_oracle, explore, refine_partition, transitions
+from .lts import bisimilar_oracle, refine_partition, transitions
 from .mirrored import diagram_md_at, search_md_diagram, search_md_parallel_shape
 from .pi import (
     PiTerm,
@@ -109,7 +109,7 @@ def nf_oracle_agreement(size_bound: int = 4, sample: int = 500, seed: int = 0) -
     additionally runs both deciders directly.
     """
     universe = ccs_terms_upto(size_bound, prefix_alphabet(NAMES))
-    blocks = refine_partition(explore(universe, transitions).items())
+    blocks = refine_partition(universe, transitions)
     by_nf = _classes(universe, normalize)
     by_block = _classes(universe, blocks.__getitem__)
     failures: list[str] = []
@@ -214,7 +214,7 @@ def cancellation(size_bound: int = 5) -> SuiteReport:
     stored block representatives.
     """
     universe = ccs_terms_upto(size_bound, prefix_alphabet(NAMES))
-    blocks = refine_partition(explore(universe, transitions).items())
+    blocks = refine_partition(universe, transitions)
     # the universe lists terms by ascending size, so group n has size n
     by_size = _classes(universe, size)
     failures: list[str] = []
@@ -257,7 +257,7 @@ def cancellation(size_bound: int = 5) -> SuiteReport:
 def contribution_invariance(size_bound: int = 4) -> SuiteReport:
     alphabet = prefix_alphabet(NAMES)
     universe = ccs_terms_upto(size_bound, alphabet)
-    blocks = refine_partition(explore(universe, transitions).items())
+    blocks = refine_partition(universe, transitions)
     groups = _classes(universe, blocks.__getitem__)
     failures: list[str] = []
     pairs = 0

@@ -19,9 +19,10 @@ transition labels, and the name references of pi terms, are interned the
 same way (see `Record`).  One total order, `sort_key`, serves every node:
 each node's key, (rank, *field keys), flat for the children of a parallel
 composition or a sum, is derived once, when the node is built, and lives as
-long as its node.  A term node also carries its moves once they
-are first asked for (`lts.transitions`, `pi.late_transitions`): a tuple
-stored on the node, which lives as long as the node too.
+long as its node.  A pi node also carries its moves once they are first
+asked for (`pi.late_transitions`): a tuple stored on the node, which lives
+as long as the node too.  A CCS node keeps none: `lts.transitions` derives
+them on every call.
 
 Open terms may contain process variables (written uppercase); these are
 opaque leaves that can stand in parallel contexts and under prefixes but
@@ -178,13 +179,9 @@ class Prefix(Record):
 
 class Term(Node):
     """Base class for CCS terms.  Every node records its size once (see
-    `size`): None on an open term.  A ground node also keeps its moves once
-    `lts.transitions` has first derived them."""
+    `size`): None on an open term."""
 
-    # _moves stays empty until `lts.transitions` fills it, through the slot's
-    # descriptor, and then lives as long as the node.  Two threads that race
-    # on one node store equal tuples, so either write may win.
-    __slots__ = ("_size", "_moves")
+    __slots__ = ("_size",)
 
     def _derive(self) -> None:
         object.__setattr__(self, "_size", self._own_size())

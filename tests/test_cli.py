@@ -112,6 +112,32 @@ def test_bisim_pi_styles(capsys):
         assert code == 0, style
 
 
+PI_MEMOS = (ccspi.pi._BISIM_MEMO, ccspi.pi._OPEN_MEMO, ccspi.pi._SUBST_MEMO)
+
+
+def test_main_empties_the_pi_memos(capsys, monkeypatch):
+    filled = []
+    clear = ccspi.cli.clear_bisim_memo
+
+    def recorded():
+        filled.append([len(m) for m in PI_MEMOS])
+        clear()
+
+    monkeypatch.setattr(ccspi.cli, "clear_bisim_memo", recorded)
+    p, q = "(nu x)(a<x>.0) | b(y).y<y>.0", "(nu x)(a<x>.0 | b(y).y<y>.0)"
+    code, _, _ = run(capsys, "bisim", p, q, "--calculus", "pi", "--style", "late")
+    assert code == 0 and filled[0][0] and filled[0][1]
+    assert not any(PI_MEMOS)
+    # an error empties them too
+    assert ccspi.ground_bisim(ccspi.parse_pi(p), ccspi.parse_pi(q))
+    ccspi.pi_substitute(ccspi.parse_pi(p), {"a": "b"})
+    assert all(PI_MEMOS)
+    code, _, err = run(capsys, "bisim", p, "b(y", "--calculus", "pi", "--style", "late")
+    assert code == 2 and err.startswith("parse error")
+    assert len(filled) == 2 and all(filled[1])
+    assert not any(PI_MEMOS)
+
+
 EQ, NE = ("a.a.0", "a.0 | a.0"), ("a.a.0", "a.0")
 PLUS_EQ, PLUS_NE = ("a.0 + b.0", "b.0 + a.0"), ("a.0 + b.0", "a.0")
 PI_EQ, PI_NE = ("a(x).0 | a(y).0", "a(x).a(y).0"), ("a(x).0", "b(x).0")

@@ -3,9 +3,9 @@ theorem makes harmless.
 
 Each fault is patched into a fresh interpreter, which runs every suite at
 the reduced bounds of the benchmark self-test and prints the names of the
-suites that fail.  In this interpreter the moves stored on interned nodes,
-the `normalize` cache and the pi memos left by earlier tests would hide the
-fault.
+suites that fail.  In this interpreter the pi moves stored on interned
+nodes, the `normalize` cache and the pi memos left by earlier tests would
+hide the fault.
 
 `python tests/test_faults.py <fault>` prints one fault's failing suites.
 """
@@ -55,10 +55,10 @@ def signature_ignores_successors(mp: pytest.MonkeyPatch) -> None:
 
 
 def strong_in_place_of_distributed(mp: pytest.MonkeyPatch) -> None:
-    from ccspi.lts import explore, refine_partition, transitions
+    from ccspi.lts import refine_partition, transitions
 
     def strong_blocks(roots):
-        return refine_partition(explore(roots, transitions).items())
+        return refine_partition(roots, transitions)
 
     def strong(p, q):
         block = strong_blocks([p, q])

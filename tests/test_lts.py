@@ -1,6 +1,7 @@
 """Interleaving semantics and the partition-refinement oracle."""
 
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,7 @@ from ccspi.lts import (
     refine_partition,
     transitions,
 )
-from ccspi.pi import pi_size, pi_step
+from ccspi.pi import pi_step
 from ccspi.syntax import parse_ccs, parse_ccs_plus, parse_pi
 from ccspi.terms import NIL, Act, Par, Prefix, Var, size
 from refinement_reference import ks_depth, ks_partition, same_partition
@@ -93,8 +94,8 @@ def test_reachable_states_shape():
     root = parse_ccs("a.0 | 'a.0")
     table = explore([root], transitions)
     assert set(table) == {root, parse_ccs("a.0"), parse_ccs("'a.0"), NIL}
-    # the table holds the moves stored on each node, not copies
-    assert all(table[s] is transitions(s) for s in table)
+    # nothing is stored, but every call gives the same moves in the same order
+    assert all(table[s] == transitions(s) for s in table)
     edges = _edges(table)
     assert len(edges) == 5
     assert (root, TAU, NIL) in edges
@@ -155,6 +156,51 @@ def test_explore_steps_each_reachable_state_once(step, roots):
     assert all(set(table[s]) == set(step(s)) for s in table)
 
 
+@pytest.mark.parametrize(
+    "step,roots",
+    [
+        (transitions, ccs_terms_upto(4, AB)),
+        (d_transitions, ccs_plus_terms_upto(3, AB)),
+        (pi_step(("a", "b"), "ground"), _PI_ROOTS),
+        (pi_step(("a", "b"), "late"), _PI_ROOTS),
+        (pi_step(("a", "b"), "early"), _PI_ROOTS),
+    ],
+    ids=["strong-size-4", "distributed-size-3", "pi-ground", "pi-late", "pi-early"],
+)
+def test_refine_partition_steps_each_reachable_state_once(step, roots):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return step(s)
+
+    block = refine_partition(roots, counted)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(block) == _reachable(roots, step)
+
+
+class _Moves(list):
+    """A moves list that a weak reference can watch."""
+
+
+def test_refine_partition_lets_the_moves_of_a_signed_state_go():
+    # a transition lowers the size, so a path from a root of size 4 holds at
+    # most 5 states; one more tuple may still be in the pass's hands while
+    # it steps the next state
+    universe = ccs_terms_upto(4, AB)
+    live = weakref.WeakValueDictionary()
+    held = []
+
+    def watched(s):
+        held.append(len(live))
+        live[len(held)] = moves = _Moves(transitions(s))
+        return moves
+
+    block = refine_partition(universe, watched)
+    assert len(held) == len(block) == len(universe)
+    assert max(held) <= 6
+
+
 @given(term_st())
 def test_every_step_shrinks_the_term(t):
     # visible steps consume one prefix, synchronisations two; the graph is
@@ -189,7 +235,7 @@ def test_blocks_group_bisimilar_roots():
         parse_ccs("a.b.0"),
         parse_ccs("a.0 | b.0"),
     ]
-    block = refine_partition(explore(roots, transitions).items())
+    block = refine_partition(roots, transitions)
     assert block[roots[0]] == block[roots[1]]
     assert len({block[r] for r in roots}) == 3
 
@@ -218,36 +264,45 @@ def test_depth_agrees_with_oracle(p, q):
 )
 def test_refine_partition_matches_reference(universe):
     table = explore(universe, transitions)
-    assert same_partition(refine_partition(table.items()), ks_partition(table, strong_sig), table)
+    block = refine_partition(universe, transitions)
+    assert block.keys() == table.keys()
+    assert same_partition(block, ks_partition(table, strong_sig), table)
 
 
 def test_dsim_blocks_match_reference():
-    block = dsim_blocks(ccs_plus_terms_upto(3, AB))
+    universe = ccs_plus_terms_upto(3, AB)
+    table = explore(universe, d_transitions)
+    block = dsim_blocks(universe)
+    assert block.keys() == table.keys()
 
     def pair_sig(s, block):
         return frozenset((a, block[loc], block[con]) for a, loc, con in d_transitions(s))
 
-    assert same_partition(block, ks_partition(block, pair_sig), block)
+    assert same_partition(block, ks_partition(table, pair_sig), table)
 
 
 @pytest.mark.parametrize("mode", ["late", "early"])
 def test_refine_partition_matches_reference_on_pi_tables(mode):
     # late inputs are moves with one successor per instantiation name; some
     # states here have two moves that differ only in bisimilar successors
-    table = explore([(t, 0) for t in pi_terms_upto(3, 1, ("a",))], pi_step(("a",), mode))
+    roots, step = [(t, 0) for t in pi_terms_upto(3, 1, ("a",))], pi_step(("a",), mode)
+    table = explore(roots, step)
     assert any(len(m) > 2 for ms in table.values() for m in ms) == (mode == "late")
 
     def sig(s, block):
         return frozenset((m[0], *[block[t] for t in m[1:]]) for m in table[s])
 
-    block = refine_partition(table.items(), rank=lambda state: pi_size(state[0]))
+    block = refine_partition(roots, step)
+    assert block.keys() == table.keys()
     assert same_partition(block, ks_partition(table, sig), table)
 
 
 @given(st.lists(term_st(), min_size=1, max_size=4))
 def test_refine_partition_matches_reference_on_random_roots(roots):
     table = explore(roots, transitions)
-    assert same_partition(refine_partition(table.items()), ks_partition(table, strong_sig), table)
+    block = refine_partition(roots, transitions)
+    assert block.keys() == table.keys()
+    assert same_partition(block, ks_partition(table, strong_sig), table)
 
 
 def test_distinguishing_depth_matches_reference():
@@ -260,11 +315,23 @@ def test_distinguishing_depth_matches_reference():
 
 
 def test_refine_partition_rejects_a_state_space_that_is_not_well_founded():
-    # a cycle; a read within one rank, even of a state listed first; a read upward
+    # a 2-cycle; a self-loop; a cycle met only below an acyclic prefix, one of
+    # whose moves has two successors
     for table in (
         {"x": [("r", "y")], "y": [("r", "x")]},
-        {"y": [], "x": [("r", "y")]},
-        {"x": [("r", "yy")], "yy": []},
+        {"x": [("r", "x")]},
+        {
+            "x": [("r", "y"), ("s", "z")],
+            "y": [("r", "z")],
+            "z": [("r", "w", "u")],
+            "w": [],
+            "u": [("r", "v")],
+            "v": [("s", "u")],
+        },
     ):
-        with pytest.raises(KeyError):
-            refine_partition(table.items(), rank=len)
+        with pytest.raises(ValueError, match="cycle"):
+            refine_partition(["x"], table.__getitem__)
+    # a state met again on another path once it is signed closes no cycle
+    diamond = {"x": [("r", "y"), ("s", "z")], "y": [("r", "w")], "z": [("r", "w")], "w": []}
+    block = refine_partition(["x", "w"], diamond.__getitem__)
+    assert block["y"] == block["z"] != block["x"]

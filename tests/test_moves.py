@@ -1,6 +1,7 @@
-"""The moves each node stores: no move repeats, the moves are the ones the
-reference relations build, each node's tuple is computed once, and its
-order is the same in every process."""
+"""The moves of each node: no move repeats, the moves are the ones the
+reference relations build, a CCS node keeps none while a pi node stores
+its tuple once, and the order is the same in every call and every
+process."""
 
 import os
 import random
@@ -20,6 +21,7 @@ from ccspi.generate import (
 )
 from ccspi.lts import d_transitions, transitions
 from ccspi.pi import dangling, late_transitions
+from ccspi.terms import Act, Nil, Par, Sum, Term, Var
 from test_order import _pi_subterms
 from transitions_reference import distinct
 
@@ -32,11 +34,16 @@ from transitions_reference import distinct
     ],
     ids=["sum-free-size-5-ab", "ccs-plus-size-3-abc"],
 )
-def test_stored_moves_are_the_reference_moves(universe):
+def test_moves_are_the_reference_moves(universe):
     for t in universe:
         assert distinct(transitions(t)) == ref.transitions(t), t
-        assert transitions(t) is transitions(t)
+        # derived again on each call, in the same order
+        assert transitions(t) == transitions(t)
         assert d_transitions(t) == ref.d_transitions(t), t
+
+
+def test_ccs_nodes_keep_no_moves():
+    assert not any(hasattr(cls, "_moves") for cls in (Term, Nil, Act, Par, Sum, Var))
 
 
 def _random_pi_subterms():
@@ -61,8 +68,8 @@ def test_a_repeated_component_moves_once():
     assert [str(a) for a, _ in transitions(t)] == ["a", "'a", "tau"]
 
 
-# every reachable state's moves, in the order they are stored, by the order
-# `explore` meets the states in
+# every reachable state's moves, in the order the steps give them, by the
+# order `explore` meets the states in
 MOVE_ORDER_SCRIPT = """
 from ccspi.lts import explore, transitions
 from ccspi.pi import free_names, pi_step
