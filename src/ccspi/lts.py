@@ -2,14 +2,16 @@
 oracle computed by partition refinement.
 
 A component of a canonical parallel composition is a prefix or a guarded
-sum: it fires as its (prefix, continuation) pairs, which `transitions`
-gives for it, and leaves nothing else behind.  On a parallel composition
-both semantics read one enumeration of its moves (`_par_moves`): the
-interleaving `transitions` joins each move into its target, building one
-`Par` per move, and the distributed `d_transitions` splits it into a local
-part (what the acting components become) and a concurrent part (the
-components that stayed put), giving a flat (action, local, concurrent)
-tuple.  So the strong and distributed relations cannot drift apart.
+sum: it fires as its (prefix, continuation) pairs, read off the node, and
+leaves nothing else behind.  On a parallel composition both semantics read
+one enumeration of its moves (`_par_moves`), which steps a component only
+once when its copies stand side by side: the interleaving `transitions`
+merges each move's residuals into the components that stayed put, already
+in canonical order (`terms.join_par`), and the distributed `d_transitions`
+splits it into a local part (what the acting components become) and a
+concurrent part (the components that stayed put), giving a flat (action,
+local, concurrent) tuple.  So the strong and distributed relations cannot
+drift apart.
 
 `transitions` and `d_transitions` keep nothing: each call derives the
 moves again, `transitions` in an order fixed by the term alone.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
-from .terms import NIL, Act, Nil, Par, Prefix, Record, Sum, Term, Var
+from .terms import NIL, Act, Nil, Par, Prefix, Record, Sum, Term, Var, join_par
 
 
 class Tau(Record):
@@ -70,7 +72,7 @@ def d_transitions(t: Term) -> frozenset[DMove]:
     concurrent part, and a synchronisation pairs both local parts."""
     if isinstance(t, Par):
         return frozenset(
-            (a, locs[0] if len(locs) == 1 else Par(locs), Par(rest))
+            (a, locs[0] if len(locs) == 1 else Par(locs), join_par(Par, rest, ()))
             for a, rest, locs in _par_moves(t.parts)
         )
     return frozenset((a, loc, NIL) for a, loc in transitions(t))
@@ -84,20 +86,39 @@ def _par_moves(ps: tuple[Term, ...]) -> Iterator[Move]:
     the components that stay put, and the residuals of the one component
     that fires or of the two that synchronise.  The visible moves come
     component by component, in canonical order, then the synchronisations
-    of components i < j."""
-    fires = [transitions(p) for p in ps]
-    for i, ts in enumerate(fires):
+    of components i < j.
+
+    A component that is its left neighbour is skipped, as the first of a
+    pair too, and so is a second partner that is its left neighbour: its
+    moves are the ones that neighbour already gave, with the same rest.
+    Two identical neighbours still synchronise with each other."""
+    fires = []
+    for p in ps:
+        if type(p) is Act:
+            fires.append(((p.prefix, p.cont),))
+        elif type(p) is Sum:
+            fires.append([(s.prefix, s.cont) for s in p.parts])
+        else:
+            fires.append(transitions(p))  # a variable: raises
+    n = len(ps)
+    for i in range(n):
+        if i and ps[i] is ps[i - 1]:
+            continue
         rest = ps[:i] + ps[i + 1 :]
-        for a, loc in ts:
+        for a, loc in fires[i]:
             yield a, rest, (loc,)
-    for i in range(len(ps) - 1):
-        # a component's moves are prefixes, each complemented once per call
-        cofires = [(a.complement(), loc) for a, loc in fires[i]]
-        for j in range(i + 1, len(ps)):
-            rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
-            for comp, l1 in cofires:
+    for i in range(n - 1):
+        if i and ps[i] is ps[i - 1]:
+            continue
+        for j in range(i + 1, n):
+            if j > i + 1 and ps[j] is ps[j - 1]:
+                continue
+            rest = None
+            for a1, l1 in fires[i]:
                 for a2, l2 in fires[j]:
-                    if a2 is comp:
+                    if a2.co != a1.co and a2.name == a1.name:
+                        if rest is None:
+                            rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
                         yield TAU, rest, (l1, l2)
 
 
@@ -108,10 +129,11 @@ def transitions(t: Term) -> tuple[tuple[Action, Term], ...]:
     The order is fixed by the term alone, so it is the same in every
     process: a prefix has its one move, a sum its summands' in canonical
     order, and a parallel composition the moves of `_par_moves`, duplicates
-    dropped.  Nothing is kept: every call derives the tuple again."""
+    dropped, each target joined into the components that stayed put
+    (`join_par`).  Nothing is kept: every call derives the tuple again."""
     match t:
         case Par(parts=ps):
-            joined = [(a, Par(rest + locs)) for a, rest, locs in _par_moves(ps)]
+            joined = [(a, join_par(Par, rest, locs)) for a, rest, locs in _par_moves(ps)]
             return tuple(dict.fromkeys(joined))
         case Act(prefix=p, cont=c):
             return ((p, c),)
@@ -153,15 +175,20 @@ def _signature(moves: Iterable[tuple], block: dict, pairs: dict) -> tuple[int, .
     the sorted tuple of their numbers: `pairs` numbers each distinct
     (label, *blocks) in the order first seen.  Within one `pairs`, equal
     tuples mean equal sets, so the tuple signs as the set would, and only
-    one tuple per distinct move is kept, not one set per signature.  A move
-    of one successor (strong, ground and early pi) is read without slicing
-    it, which keeps cold strong queries cheap."""
+    one tuple per distinct move is kept, not one set per signature.  As in
+    `refine_partition`, a move of one successor (strong, ground and early
+    pi) or of two (distributed) is read without slicing it, which keeps
+    cold strong and distributed queries cheap."""
     number = pairs.setdefault
     return tuple(
         sorted(
             {
                 number(
-                    (m[0], block[m[1]]) if len(m) == 2 else (m[0], *[block[t] for t in m[1:]]),
+                    (m[0], block[m[1]])
+                    if len(m) == 2
+                    else (m[0], block[m[1]], block[m[2]])
+                    if len(m) == 3
+                    else (m[0], *[block[t] for t in m[1:]]),
                     len(pairs),
                 )
                 for m in moves

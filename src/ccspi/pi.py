@@ -30,10 +30,13 @@ calls it when each suite ends, `cli.main` when each command ends.
 
 Transition residuals for input and bound-output actions are returned as
 bodies with the transmitted name still abstracted (dangling index 0); the
-bisimulation games decide how to instantiate them.  `late_transitions`
-stores a node's moves on the node the first time it is asked for them, as a
-tuple of distinct moves in an order fixed by the term alone, so they live
-as long as the node, as the intern table does, and no cache holds them.
+bisimulation games decide how to instantiate them.  A successor of a
+parallel composition merges the residuals into the components that stayed
+put, which are already in canonical order (`terms.join_par`).
+`late_transitions` stores a node's moves on the node the first time it is
+asked for them, as a tuple of distinct moves in an order fixed by the term
+alone, so they live as long as the node, as the intern table does, and no
+cache holds them.
 Instantiation names for the games are drawn from a reserved namespace
 ("#0", "#1", ...) disjoint from source-level names.
 
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .lts import refine_partition
-from .terms import Node, Record, flat_par, sort_key
+from .terms import Node, Record, flat_par, join_par, sort_key
 
 
 class FreeName(Record):
@@ -414,7 +417,7 @@ def late_transitions(t: PiTerm) -> tuple[tuple[PiAction, PiTerm], ...]:
             for i, ts in enumerate(part_ts):
                 rest = ps[:i] + ps[i + 1 :]
                 for a, res in ts:
-                    out[(a, PiPar((res,) + rest))] = None
+                    out[(a, join_par(PiPar, rest, (res,)))] = None
             for i in range(len(ps)):
                 for j in range(len(ps)):
                     if i == j:
@@ -427,9 +430,9 @@ def late_transitions(t: PiTerm) -> tuple[tuple[PiAction, PiTerm], ...]:
                                 continue
                             rest = tuple(p for k, p in enumerate(ps) if k not in (i, j))
                             if isinstance(aj, FreeOutAct):
-                                res = PiPar((open_binder(ri, aj.payload), rj) + rest)
+                                res = join_par(PiPar, rest, (open_binder(ri, aj.payload), rj))
                             else:
-                                res = PiNu(PiPar((ri, rj) + rest))
+                                res = PiNu(join_par(PiPar, rest, (ri, rj)))
                             out[(PI_TAU, res)] = None
             moves = tuple(out)
         case PiNu(body=b):

@@ -19,10 +19,12 @@ transition labels, and the name references of pi terms, are interned the
 same way (see `Record`).  One total order, `sort_key`, serves every node:
 each node's key, (rank, *field keys), flat for the children of a parallel
 composition or a sum, is derived once, when the node is built, and lives as
-long as its node.  A pi node also carries its moves once they are first
-asked for (`pi.late_transitions`): a tuple stored on the node, which lives
-as long as the node too.  A CCS node keeps none: `lts.transitions` derives
-them on every call.
+long as its node.  A successor of a parallel composition keeps the
+components that stayed put in that order, so `join_par` builds it by
+inserting only the residuals, and sorts nothing again.  A pi node also
+carries its moves once they are first asked for (`pi.late_transitions`): a
+tuple stored on the node, which lives as long as the node too.  A CCS node
+keeps none: `lts.transitions` derives them on every call.
 
 Open terms may contain process variables (written uppercase); these are
 opaque leaves that can stand in parallel contexts and under prefixes but
@@ -31,6 +33,7 @@ never head a transition.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import total_ordering
 from itertools import product
 from operator import attrgetter
@@ -139,6 +142,25 @@ def flat_par(cls: type[Node], parts: Iterable[Node]) -> Node:
         return items[0]
     items.sort(key=sort_key)
     return cls._make(tuple(items))
+
+
+def join_par(cls: type[Node], rest: tuple[Node, ...], residuals: Iterable[Node]) -> Node:
+    """`cls(rest + residuals)` for rest a canonical component tuple of the
+    family (sorted, with no nil and no `cls` node), as the steps of
+    `lts.transitions` and `pi.late_transitions` build a successor: rest is
+    not sorted again, and each residual, or each component of one that is
+    a `cls` node, is inserted in its place, the family's nil dropped."""
+    nil = cls._nil
+    items = list(rest)
+    for r in residuals:
+        if isinstance(r, cls):
+            for p in r.parts:
+                insort(items, p, key=sort_key)
+        elif r is not nil:
+            insort(items, r, key=sort_key)
+    if len(items) > 1:
+        return cls._make(tuple(items))
+    return items[0] if items else nil
 
 
 @total_ordering

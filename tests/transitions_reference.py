@@ -2,7 +2,9 @@
 the strong relation derived from the distributed one, and the late pi
 relation, each built as a set and returned as a frozenset.  The tests check
 every stored move tuple against them, so the stored moves are not checked
-by the code that stores them."""
+by the code that stores them.  `ordered_transitions` keeps the order of
+`lts.transitions` too, with every component stepped and every target built
+by the `Par` constructor."""
 
 from functools import lru_cache
 from typing import Iterator
@@ -90,6 +92,37 @@ def transitions(t: Term) -> frozenset:
             (a, Par(rest + locs + cons)) for a, rest, locs, cons in _par_moves(t.parts)
         )
     return frozenset((a, Par((loc, con))) for a, loc, con in d_transitions(t))
+
+
+def ordered_transitions(t: Term) -> tuple:
+    """The interleaving moves as a tuple in the order `lts.transitions`
+    gives them: each component's moves, component by component, then each
+    synchronisation of components i < j, found by `complement()`, every
+    target built by `Par(rest + locals)`, and the repeats dropped by
+    `dict.fromkeys`."""
+    match t:
+        case Par(parts=ps):
+            fires = [ordered_transitions(p) for p in ps]
+            joined = []
+            for i, ts in enumerate(fires):
+                rest = ps[:i] + ps[i + 1 :]
+                joined += [(a, Par(rest + (loc,))) for a, loc in ts]
+            for i in range(len(ps)):
+                for j in range(i + 1, len(ps)):
+                    rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
+                    for a1, l1 in fires[i]:
+                        comp = a1.complement()
+                        joined += [(TAU, Par(rest + (l1, l2))) for a2, l2 in fires[j] if a2 is comp]
+            return tuple(dict.fromkeys(joined))
+        case Act(prefix=p, cont=c):
+            return ((p, c),)
+        case Sum(parts=ps):
+            return tuple((s.prefix, s.cont) for s in ps)
+        case Nil():
+            return ()
+        case Var():
+            raise ValueError("transitions undefined on open terms")
+    raise TypeError(f"not a term: {t!r}")
 
 
 @lru_cache(maxsize=None)
