@@ -3,8 +3,8 @@ normal-form decision procedure for strong bisimilarity, CCS with guarded
 sums and distributed bisimilarity, and a finite pi fragment with ground,
 late, and early bisimilarity plus an erasure back into CCS."""
 
-from .distributed import dsim, perfect_matching
-from .erasure import ErasureContext, check_erasure_transitions, erase, transfer_check
+from .distributed import dsim
+from .erasure import ErasureContext, check_erasure_transitions, erase
 from .lts import (
     TAU,
     Tau,

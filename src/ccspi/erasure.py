@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lts import transitions
-from .rewrite import decide_bisim
 from .terms import NIL, Act, Par, Prefix, Term
 from .pi import (
     BoundOutAct,
@@ -29,7 +28,6 @@ from .pi import (
     PiTerm,
     free_names,
     fresh_marker,
-    ground_bisim,
     late_transitions,
     open_binder,
 )
@@ -87,11 +85,3 @@ def check_erasure_transitions(p: PiTerm, ctx: ErasureContext) -> bool:
                 expected.add((b_pref, erase(open_binder(res, z), ctx)))
     return set(transitions(erase(p, ctx))) == expected
 
-
-def transfer_check(p: PiTerm, q: PiTerm, ctx: ErasureContext) -> bool:
-    """Given ground-bisimilar p and q, decide bisimilarity of the erasures
-    (which must hold; the suite asserts the result).  Raises if the premise
-    fails."""
-    if not ground_bisim(p, q):
-        raise ValueError("transfer premise violated")
-    return decide_bisim(erase(p, ctx), erase(q, ctx))

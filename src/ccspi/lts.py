@@ -26,16 +26,19 @@ soon as its successors' classes are, from classes that are already final
 algorithm for computing bisimulation equivalence", TCS 2004).
 
 Strong, distributed and pi bisimilarity share one refinement pass and one
-signature.  `refine_partition` walks the states reachable from its roots
-depth first, a move being a flat tuple (label, successor, ...), and signs
-a state by its set of moves with each successor replaced by its block once
-every successor has one; it then lets the state's moves go, so only the
-states on the current path hold theirs.  That set is kept as numbers: each
-distinct (label, *blocks) gets a number, once per call, and a signature is
-the sorted tuple of its moves' numbers.  Only the step differs:
-`transitions` itself for strong bisimilarity, `d_transitions` itself for
-distributed bisimilarity, and `pi.pi_step`.  `explore` tabulates the moves
-of every reachable state, for the rounds of `distinguishing_depth`.
+signature over one move shape: a step maps a state to its moves, each one
+(label, successor) pair, as in a textbook labelled transition system.
+`refine_partition` walks the states reachable from its roots depth first,
+and signs a state by its set of moves with each successor replaced by its
+block once every successor has one; it then lets the state's moves go, so
+only the states on the current path hold theirs.  That set is kept as
+numbers: each distinct (label, block) gets a number, once per call, and a
+signature is the sorted tuple of its moves' numbers.  Only the step
+differs: `transitions` itself for strong bisimilarity, and
+`distributed.d_step` and `pi.pi_step`, which each build a move with several
+successors as a state of its own whose moves lead to them one by one.
+`explore` tabulates the moves of every reachable state, for the rounds of
+`distinguishing_depth`.
 """
 
 from __future__ import annotations
@@ -149,20 +152,15 @@ def transitions(t: Term) -> tuple[tuple[Action, Term], ...]:
 
 def explore(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> dict:
     """The moves table {state: step(state)} of every state reachable from
-    the roots, where a move is a flat tuple (label, successor, ...).  Each
-    state is stepped once.  As in `_signature`, a move of one successor is
-    read without slicing it."""
+    the roots, where a move is a (label, successor) pair.  Each state is
+    stepped once."""
     table: dict = {}
     todo = list(roots)
     while todo:
         s = todo.pop()
         if s not in table:
             table[s] = moves = step(s)
-            for m in moves:
-                if len(m) == 2:
-                    todo.append(m[1])
-                else:
-                    todo += m[1:]
+            todo += [t for _, t in moves]
     return table
 
 
@@ -173,28 +171,11 @@ def explore(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> dict:
 def _signature(moves: Iterable[tuple], block: dict, pairs: dict) -> tuple[int, ...]:
     """A state's set of moves with each successor replaced by its block, as
     the sorted tuple of their numbers: `pairs` numbers each distinct
-    (label, *blocks) in the order first seen.  Within one `pairs`, equal
+    (label, block) in the order first seen.  Within one `pairs`, equal
     tuples mean equal sets, so the tuple signs as the set would, and only
-    one tuple per distinct move is kept, not one set per signature.  As in
-    `refine_partition`, a move of one successor (strong, ground and early
-    pi) or of two (distributed) is read without slicing it, which keeps
-    cold strong and distributed queries cheap."""
+    one tuple per distinct move is kept, not one set per signature."""
     number = pairs.setdefault
-    return tuple(
-        sorted(
-            {
-                number(
-                    (m[0], block[m[1]])
-                    if len(m) == 2
-                    else (m[0], block[m[1]], block[m[2]])
-                    if len(m) == 3
-                    else (m[0], *[block[t] for t in m[1:]]),
-                    len(pairs),
-                )
-                for m in moves
-            }
-        )
-    )
+    return tuple(sorted({number((a, block[t]), len(pairs)) for a, t in moves}))
 
 
 def refine_partition(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> dict:
@@ -207,10 +188,7 @@ def refine_partition(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) ->
     Until it is signed, a state's moves are held with its place on `todo`,
     so only the states on the current path keep theirs.  A state met again
     while it is still being expanded closes a cycle, and raises ValueError:
-    the state space is then not well founded.  A move of one successor
-    (strong, ground and early pi) or of two (distributed) is read without
-    slicing it; only a longer one (a late pi input, one successor per
-    name) is sliced."""
+    the state space is then not well founded."""
     block: dict = {}
     ids: dict = {}
     pairs: dict = {}
@@ -229,17 +207,7 @@ def refine_partition(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) ->
             else:
                 moves = step(s)
                 depth = len(todo)
-                for m in moves:
-                    if len(m) == 2:
-                        if m[1] not in block:
-                            todo.append(m[1])
-                    elif len(m) == 3:
-                        if m[1] not in block:
-                            todo.append(m[1])
-                        if m[2] not in block:
-                            todo.append(m[2])
-                    else:
-                        todo += [t for t in m[1:] if t not in block]
+                todo += [t for _, t in moves if t not in block]
                 if len(todo) > depth:
                     path[s] = moves, depth
                     continue

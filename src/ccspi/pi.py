@@ -44,9 +44,11 @@ Besides the games for single pairs, `pi_blocks` gives the classes of a
 whole universe in each mode with the one refinement pass and the one
 signature that strong and distributed bisimilarity use
 (`lts.refine_partition`); only its step, `pi_step`, is the pi calculus's
-own.  Unlike CCS nodes, whose moves the pass drops once it has signed
-them, pi nodes keep theirs: the games read the moves of the same
-positions again and again.
+own.  Its moves are (label, successor) pairs, as every step's are: a late
+input moves to a "for all names" state of its own, which moves by each
+instantiation name to the residual opened with it.  Unlike CCS nodes,
+whose moves the pass drops once it has signed them, pi nodes keep theirs:
+the games read the moves of the same positions again and again.
 """
 
 from __future__ import annotations
@@ -569,13 +571,14 @@ def early_bisim(p: PiTerm, q: PiTerm) -> bool:
 # --------------------------------------------------------------------------
 # equivalence classes by one refinement
 
-PiState = tuple[PiTerm, int]
+# (t, d), or a late input's residual waiting for its name, (res, d, "all")
+PiState = tuple[PiTerm, int] | tuple[PiTerm, int, str]
 
 
 def pi_step(frees: Iterable[str], mode: str) -> Callable[[PiState], list[tuple]]:
     """The step of ground, late or early bisimilarity over closed terms whose
-    free names lie in `frees`: the moves of a state, as flat tuples for
-    `lts.refine_partition`.
+    free names lie in `frees`: the moves of a state, as (label, successor)
+    pairs for `lts.refine_partition`.
 
     A state (t, d) counts the binders d opened on the way to t: the free
     names of t lie in frees and #0..#d-1, so #d is fresh for it.  Free
@@ -583,30 +586,33 @@ def pi_step(frees: Iterable[str], mode: str) -> Callable[[PiState], list[tuple]]
     binder with #d at level d + 1.  Late and early inputs open it with every
     name of frees and #0..#d, and only #d raises the level: a name free in
     neither of two states acts as the fresh one does (equivariance), so these
-    cover every instantiation the games try.  A late input is one move
-    (label, successor per name) for each residual, so one responder must
-    match every name at once; an early input is one move ((label, name),
-    successor) per name."""
+    cover every instantiation the games try.  An early input is one move
+    ((label, name), instance) per name.  A late input is one move (label,
+    (res, d, "all")) to a "for all names" state, which has one move (name,
+    instance) per name: the quantifiers of early mode swapped, so one
+    responder must match every name at once."""
     if mode not in ("ground", "late", "early"):
         raise ValueError(f"unknown mode {mode!r}")
     frees = sorted(frees)
 
+    def instances(res: PiTerm, d: int) -> list[tuple[str, PiState]]:
+        names = frees + [f"#{k}" for k in range(d + 1)]
+        return [(n, (open_binder(res, n), d + (n == names[-1]))) for n in names]
+
     def step(state: PiState) -> list[tuple]:
+        if len(state) == 3:
+            return instances(*state[:2])
         t, d = state
-        fresh = f"#{d}"
         out: list[tuple] = []
         for a, res in late_transitions(t):
             if isinstance(a, (FreeOutAct, PiTauAct)):
                 out.append((a, (res, d)))
             elif isinstance(a, BoundOutAct) or mode == "ground":
-                out.append((a, (open_binder(res, fresh), d + 1)))
+                out.append((a, (open_binder(res, f"#{d}"), d + 1)))
+            elif mode == "late":
+                out.append((a, (res, d, "all")))
             else:
-                names = frees + [f"#{k}" for k in range(d + 1)]
-                insts = [(open_binder(res, n), d + (n == fresh)) for n in names]
-                if mode == "late":
-                    out.append((a, *insts))
-                else:
-                    out.extend(((a, n), st) for n, st in zip(names, insts))
+                out.extend(((a, n), st) for n, st in instances(res, d))
         return out
 
     return step
@@ -615,8 +621,9 @@ def pi_step(frees: Iterable[str], mode: str) -> Callable[[PiState], list[tuple]]
 def pi_blocks(roots: Iterable[PiTerm], frees: Iterable[str], mode: str) -> dict[PiState, int]:
     """Ground, late or early bisimilarity classes of closed terms whose free
     names lie in `frees`, as block ids of the states (t, 0) for t in roots.
-    Every step of `pi_step` consumes a prefix, so the reachable states hold
-    no cycle and one `refine_partition` pass decides every class."""
+    Every move of a term state consumes a prefix, and a "for all names"
+    state moves to term states only, so the reachable states hold no cycle
+    and one `refine_partition` pass decides every class."""
     allowed = frozenset(frees)
     step = pi_step(allowed, mode)
     states = []

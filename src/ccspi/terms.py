@@ -192,9 +192,6 @@ class Prefix(Record):
     def __new__(cls, name: Name, co: bool = False) -> Prefix:
         return cls._make(name, co)
 
-    def complement(self) -> Prefix:
-        return Prefix(self.name, not self.co)
-
     def __str__(self) -> str:
         return ("'" if self.co else "") + self.name
 

@@ -2,6 +2,8 @@
 engine in `ccspi.lts` that it checks: every round re-signs every state over
 the previous round's blocks, until a round splits no block."""
 
+from ccspi.pi import BoundOutAct, FreeOutAct, PiTauAct, late_transitions, open_binder
+
 
 def ks_rounds(states, sig_fn):
     """The partition after each round, ending with the fixpoint.  Round k
@@ -36,3 +38,60 @@ def same_partition(a: dict, b: dict, states) -> bool:
     whatever ids they use."""
     pairs = {(a[s], b[s]) for s in states}
     return len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})
+
+
+# the flat product moves ---------------------------------------------------
+#
+# A move with several successors as one flat tuple (label, s1, ..., sn),
+# signed as (label, block(s1), ..., block(sn)): a distributed move
+# (action, local, concurrent), and a late pi input with one successor per
+# instantiation name.  The engine in `ccspi.lts` reads only (label,
+# successor) pairs and builds such a product as a state of its own; these
+# tables check that encoding.
+
+
+def flat_explore(roots, step):
+    """The moves table {state: moves} of every state reachable from the
+    roots, each move a flat tuple (label, successor, ...)."""
+    table = {}
+    todo = list(roots)
+    while todo:
+        s = todo.pop()
+        if s not in table:
+            table[s] = moves = list(step(s))
+            for m in moves:
+                todo += m[1:]
+    return table
+
+
+def flat_signature(table):
+    def sig(s, block):
+        return frozenset((m[0], *[block[t] for t in m[1:]]) for m in table[s])
+
+    return sig
+
+
+def flat_pi_step(frees, mode):
+    """The pi step of `ccspi.pi.pi_step` with each late input one flat move
+    (label, instance per name) from the state (t, d), and each early input
+    one move ((label, name), instance) per name."""
+    frees = sorted(frees)
+
+    def step(state):
+        t, d = state
+        out = []
+        for a, res in late_transitions(t):
+            if isinstance(a, (FreeOutAct, PiTauAct)):
+                out.append((a, (res, d)))
+            elif isinstance(a, BoundOutAct) or mode == "ground":
+                out.append((a, (open_binder(res, f"#{d}"), d + 1)))
+            else:
+                names = frees + [f"#{k}" for k in range(d + 1)]
+                insts = [(open_binder(res, n), d + (n == names[-1])) for n in names]
+                if mode == "late":
+                    out.append((a, *insts))
+                else:
+                    out.extend(((a, n), st) for n, st in zip(names, insts))
+        return out
+
+    return step

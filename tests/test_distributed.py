@@ -2,7 +2,7 @@
 
 import pytest
 
-from ccspi.distributed import dsim, dsim_blocks, perfect_matching
+from ccspi.distributed import d_step, dsim, dsim_blocks
 from ccspi.lts import TAU, bisimilar_oracle, d_transitions, explore
 from ccspi.syntax import parse_ccs, parse_ccs_plus
 from ccspi.terms import NIL, Prefix, Var, substitute
@@ -37,19 +37,23 @@ def test_d_transitions_sum_and_errors():
 
 def test_explore_closes_both_residuals():
     # hand enumeration: a moves to local b.0 beside concurrent c.0, and c to
-    # local 0 beside concurrent a.b.0
-    table = explore([parse_ccs("a.b.0 | c.0")], d_transitions)
+    # local 0 beside concurrent a.b.0; each pair state moves to both parts
+    root = parse_ccs("a.b.0 | c.0")
+    left, right = (parse_ccs("b.0"), parse_ccs("c.0")), (NIL, parse_ccs("a.b.0"))
+    table = explore([root], d_step)
     assert set(table) == {
-        parse_ccs("a.b.0 | c.0"),
+        root,
+        left,
+        right,
         parse_ccs("b.0"),  # local residual
         parse_ccs("c.0"),  # concurrent residual
         parse_ccs("a.b.0"),
+        (parse_ccs("b.0"), NIL),
+        (NIL, NIL),
         NIL,
     }
-    assert table[parse_ccs("a.b.0 | c.0")] == {
-        (Prefix("a"), parse_ccs("b.0"), parse_ccs("c.0")),
-        (Prefix("c"), NIL, parse_ccs("a.b.0")),
-    }
+    assert set(table[root]) == {(Prefix("a"), left), (Prefix("c"), right)}
+    assert set(table[left]) == {(0, parse_ccs("b.0")), (1, parse_ccs("c.0"))}
 
 
 def test_expansion_separates_local_from_concurrent():
@@ -85,24 +89,3 @@ def test_dsim_blocks_consistent_with_dsim():
     block = dsim_blocks(terms)
     assert block[terms[0]] == block[terms[1]]  # idempotence is syntactic here
     assert block[terms[2]] != block[terms[3]]
-
-
-def test_perfect_matching():
-    a0, b0 = parse_ccs("a.0"), parse_ccs("b.0")
-    eq = lambda x, y: x == y
-    m = perfect_matching((a0, a0), (a0, a0), eq)
-    assert m is not None and sorted(m, key=str) == [(a0, a0), (a0, a0)]
-    assert perfect_matching((a0, b0), (a0, a0), eq) is None
-    assert perfect_matching((a0,), (a0, b0), eq) is None
-    assert perfect_matching((), (), eq) == []
-
-
-def test_perfect_matching_augments():
-    # the flexible vertex must give up its greedy partner
-    r1, r2 = parse_ccs("a.0"), parse_ccs("b.0")
-    flexible, picky = parse_ccs("a.a.0"), parse_ccs("b.b.0")
-    rel = lambda x, y: True if x == flexible else y == r1
-    got = perfect_matching((flexible, picky), (r1, r2), rel)
-    assert got is not None
-    pairing = dict(got)
-    assert pairing[picky] == r1 and pairing[flexible] == r2

@@ -136,10 +136,11 @@ def late_played_as_early(mp: pytest.MonkeyPatch) -> None:
 
 
 def dsim_is_identity(mp: pytest.MonkeyPatch) -> None:
-    from ccspi.lts import d_transitions, explore
+    from ccspi.distributed import d_step
+    from ccspi.lts import explore
 
     def own_blocks(roots):
-        return {s: i for i, s in enumerate(explore(roots, d_transitions))}
+        return {s: i for i, s in enumerate(explore(roots, d_step))}
 
     for module in ("distributed", "suites"):
         mp.setattr(f"ccspi.{module}.dsim_blocks", own_blocks)
@@ -250,6 +251,14 @@ def test_every_suite_passes_at_the_reduced_bounds():
 def test_the_suites_catch_the_fault(name):
     assert CAUGHT[name].must_fail
     assert CAUGHT[name].must_fail <= _failing_in_a_fresh_process(name)
+
+
+def test_dsim_separation_catches_strong_in_place_of_distributed_at_size_3(monkeypatch):
+    # at the reduced size 2 every strongly bisimilar pair of products also
+    # matches componentwise; at size 3, a.0 | a.0 | a.0 and a.0 | a.a.0 do
+    # not.  dsim_blocks keeps nothing, so the fault shows in this interpreter
+    strong_in_place_of_distributed(monkeypatch)
+    assert not run_suite("dsim-separation", size_bound=3).passed
 
 
 @pytest.mark.parametrize("name", list(MISSED))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccspi.distributed import dsim_blocks
+from ccspi.distributed import d_step, dsim_blocks
 from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, pi_terms_upto, prefix_alphabet
 from ccspi.lts import (
     TAU,
@@ -19,10 +19,17 @@ from ccspi.lts import (
     refine_partition,
     transitions,
 )
-from ccspi.pi import pi_step
+from ccspi.pi import pi_blocks, pi_step
 from ccspi.syntax import parse_ccs, parse_ccs_plus, parse_pi
 from ccspi.terms import NIL, Act, Par, Prefix, Var, size
-from refinement_reference import ks_depth, ks_partition, same_partition
+from refinement_reference import (
+    flat_explore,
+    flat_pi_step,
+    flat_signature,
+    ks_depth,
+    ks_partition,
+    same_partition,
+)
 from transitions_reference import distinct
 
 AB = prefix_alphabet(("a", "b"))
@@ -116,9 +123,8 @@ def _reachable(roots, step):
     def visit(s):
         if s not in seen:
             seen.add(s)
-            for m in step(s):
-                for t in m[1:]:
-                    visit(t)
+            for _, t in step(s):
+                visit(t)
 
     for r in roots:
         visit(r)
@@ -135,7 +141,7 @@ _PI_ROOTS = [
     "step,roots",
     [
         (transitions, [parse_ccs("a.0 | 'a.0 | a.b.0"), parse_ccs("a.a.0 | 'a.b.0")]),
-        (d_transitions, [parse_ccs_plus("(a.b.0 + 'b.0) | 'a.0 | b.0"), parse_ccs("a.a.0 | 'a.0")]),
+        (d_step, [parse_ccs_plus("(a.b.0 + 'b.0) | 'a.0 | b.0"), parse_ccs("a.a.0 | 'a.0")]),
         (pi_step(("a", "b"), "ground"), _PI_ROOTS),
         (pi_step(("a", "b"), "late"), _PI_ROOTS),
         (pi_step(("a", "b"), "early"), _PI_ROOTS),
@@ -160,7 +166,7 @@ def test_explore_steps_each_reachable_state_once(step, roots):
     "step,roots",
     [
         (transitions, ccs_terms_upto(4, AB)),
-        (d_transitions, ccs_plus_terms_upto(3, AB)),
+        (d_step, ccs_plus_terms_upto(3, AB)),
         (pi_step(("a", "b"), "ground"), _PI_ROOTS),
         (pi_step(("a", "b"), "late"), _PI_ROOTS),
         (pi_step(("a", "b"), "early"), _PI_ROOTS),
@@ -269,32 +275,54 @@ def test_refine_partition_matches_reference(universe):
     assert same_partition(block, ks_partition(table, strong_sig), table)
 
 
-def test_dsim_blocks_match_reference():
-    universe = ccs_plus_terms_upto(3, AB)
-    table = explore(universe, d_transitions)
-    block = dsim_blocks(universe)
-    assert block.keys() == table.keys()
-
-    def pair_sig(s, block):
-        return frozenset((a, block[loc], block[con]) for a, loc, con in d_transitions(s))
-
-    assert same_partition(block, ks_partition(table, pair_sig), table)
-
-
 @pytest.mark.parametrize("mode", ["late", "early"])
 def test_refine_partition_matches_reference_on_pi_tables(mode):
-    # late inputs are moves with one successor per instantiation name; some
-    # states here have two moves that differ only in bisimilar successors
+    # a late input moves to a "for all names" state, with one move per
+    # instantiation name; some states here have two moves that differ only
+    # in bisimilar successors
     roots, step = [(t, 0) for t in pi_terms_upto(3, 1, ("a",))], pi_step(("a",), mode)
     table = explore(roots, step)
-    assert any(len(m) > 2 for ms in table.values() for m in ms) == (mode == "late")
+    assert any(len(s) == 3 for s in table) == (mode == "late")
 
     def sig(s, block):
-        return frozenset((m[0], *[block[t] for t in m[1:]]) for m in table[s])
+        return frozenset((a, block[t]) for a, t in table[s])
 
     block = refine_partition(roots, step)
     assert block.keys() == table.keys()
     assert same_partition(block, ks_partition(table, sig), table)
+
+
+# pair and "for all names" states against the flat product moves -------------
+
+
+def _flat_partition(roots, step):
+    table = flat_explore(roots, step)
+    return ks_partition(table, flat_signature(table)), table
+
+
+def test_dsim_blocks_match_reference():
+    # the flat moves are the distributed ones, (action, local, concurrent);
+    # the engine's blocks hold the pair states as well
+    universe = ccs_plus_terms_upto(4, AB)
+    reference, table = _flat_partition(universe, d_transitions)
+    block = dsim_blocks(universe)
+    assert {s for s in block if type(s) is not tuple} == table.keys()
+    assert same_partition(block, reference, table)
+
+
+@pytest.mark.parametrize("mode", ["ground", "late", "early"])
+@pytest.mark.parametrize(
+    "bounds",
+    [(3, 1, ("a", "b")), (2, 2, ("a", "b", "c"))],
+    ids=["3-prefixes-1-nu-ab", "2-prefixes-2-nus-abc"],
+)
+def test_pi_blocks_match_the_flat_product_reference(bounds, mode):
+    # a late input's flat move is (label, instance per name)
+    universe = pi_terms_upto(*bounds)
+    reference, table = _flat_partition([(t, 0) for t in universe], flat_pi_step(bounds[2], mode))
+    block = pi_blocks(universe, bounds[2], mode)
+    assert {s for s in block if len(s) == 2} == table.keys()
+    assert same_partition(block, reference, table)
 
 
 @given(st.lists(term_st(), min_size=1, max_size=4))
@@ -316,20 +344,25 @@ def test_distinguishing_depth_matches_reference():
 
 def test_refine_partition_rejects_a_state_space_that_is_not_well_founded():
     # a 2-cycle; a self-loop; a cycle met only below an acyclic prefix, one of
-    # whose moves has two successors
-    for table in (
-        {"x": [("r", "y")], "y": [("r", "x")]},
-        {"x": [("r", "x")]},
-        {
-            "x": [("r", "y"), ("s", "z")],
-            "y": [("r", "z")],
-            "z": [("r", "w", "u")],
-            "w": [],
-            "u": [("r", "v")],
-            "v": [("s", "u")],
-        },
+    # whose states is a pair state with a move to each part; each raises at
+    # the state that closes its cycle
+    for table, closer in (
+        ({"x": [("r", "y")], "y": [("r", "x")]}, "x"),
+        ({"x": [("r", "x")]}, "x"),
+        (
+            {
+                "x": [("r", "y"), ("s", "z")],
+                "y": [("r", "z")],
+                "z": [("r", "wu")],
+                "wu": [(0, "w"), (1, "u")],
+                "w": [],
+                "u": [("r", "v")],
+                "v": [("s", "u")],
+            },
+            "u",
+        ),
     ):
-        with pytest.raises(ValueError, match="cycle"):
+        with pytest.raises(ValueError, match=f"cycle through '{closer}'"):
             refine_partition(["x"], table.__getitem__)
     # a state met again on another path once it is signed closes no cycle
     diamond = {"x": [("r", "y"), ("s", "z")], "y": [("r", "w")], "z": [("r", "w")], "w": []}

@@ -27,7 +27,7 @@ from ccspi.pi import (
     free_names,
     open_binder,
 )
-from ccspi.terms import NIL, Act, Nil, Par, Sum, Term, Var
+from ccspi.terms import NIL, Act, Nil, Par, Prefix, Sum, Term, Var
 
 
 def distinct(moves) -> frozenset:
@@ -77,7 +77,7 @@ def _par_moves(ps: tuple[Term, ...]) -> Iterator[tuple]:
             for a1, l1, c1 in part_ts[i]:
                 if isinstance(a1, Tau):
                     continue
-                comp = a1.complement()
+                comp = Prefix(a1.name, not a1.co)
                 for a2, l2, c2 in part_ts[j]:
                     if a2 == comp:
                         yield TAU, rest, (l1, l2), (c1, c2)
@@ -97,7 +97,7 @@ def transitions(t: Term) -> frozenset:
 def ordered_transitions(t: Term) -> tuple:
     """The interleaving moves as a tuple in the order `lts.transitions`
     gives them: each component's moves, component by component, then each
-    synchronisation of components i < j, found by `complement()`, every
+    synchronisation of components i < j, with the complementary prefix, every
     target built by `Par(rest + locals)`, and the repeats dropped by
     `dict.fromkeys`."""
     match t:
@@ -111,7 +111,7 @@ def ordered_transitions(t: Term) -> tuple:
                 for j in range(i + 1, len(ps)):
                     rest = ps[:i] + ps[i + 1 : j] + ps[j + 1 :]
                     for a1, l1 in fires[i]:
-                        comp = a1.complement()
+                        comp = Prefix(a1.name, not a1.co)
                         joined += [(TAU, Par(rest + (l1, l2))) for a2, l2 in fires[j] if a2 is comp]
             return tuple(dict.fromkeys(joined))
         case Act(prefix=p, cont=c):
