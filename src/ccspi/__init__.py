@@ -44,7 +44,6 @@ from .rewrite import (
     normalize_steps,
     prime_decompose,
     rewrite_candidates,
-    rewrite_step,
 )
 from .syntax import (
     ParseError,

@@ -14,9 +14,10 @@ flattened sorted multiset without Nil components (`terms.flat_par`, in the
 one order of `terms.sort_key`), and a restriction whose name never occurs
 is dropped.
 
-Each node stores its dangling indices as an int bit set (bit i set when
-index i dangles; `dangling` gives the frozenset): a binder's body is seen
-from outside by `>> 1`, and a parallel composition joins its parts by `|`.
+Each node stores its dangling indices (the indices it references without
+binding them, counted from its top) as an int bit set, bit i set when index
+i dangles: a binder's body is seen from outside by `>> 1`, and a parallel
+composition joins its parts by `|`.
 Renaming walks (`open_binder`, `close_binder`, `pi_substitute` and the
 unused-binder shift in `PiNu`) read each node's stored bit set and free
 names, and return a subterm unchanged when it holds no reference they move:
@@ -94,11 +95,11 @@ _FREE_SETS: dict[frozenset[str], tuple[frozenset[str], tuple[str, ...]]] = {}
 
 class PiTerm(Node):
     """Base class for pi terms.  Every node records, once, the indices it
-    references without binding them (see `dangling`), as an int bit set
-    `_dangling` whose bit i is set when index i dangles, its size (see
-    `pi_size`) and its free names (see `free_names`), also as a sorted
-    tuple (`_names`, the order of a `pi_substitute` memo key).  A closed node
-    also keeps its moves once `late_transitions` has first derived them."""
+    references without binding them, as an int bit set `_dangling` whose
+    bit i is set when index i dangles, its size (see `pi_size`) and its
+    free names (see `free_names`), also as a sorted tuple (`_names`, the
+    order of a `pi_substitute` memo key).  A closed node also keeps its
+    moves once `late_transitions` has first derived them."""
 
     # _moves stays empty until `late_transitions` fills it, through the
     # slot's descriptor, and then lives as long as the node.  Two threads
@@ -202,12 +203,6 @@ class PiNu(PiTerm):
 
 # --------------------------------------------------------------------------
 # measures and renaming
-
-
-def dangling(t: PiTerm) -> frozenset[int]:
-    """Indices referenced in t but not bound inside it, counted from t's top."""
-    bits = t._dangling
-    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 def free_names(t: PiTerm) -> frozenset[str]:
@@ -441,19 +436,12 @@ def late_transitions(t: PiTerm) -> tuple[tuple[PiAction, PiTerm], ...]:
             m = fresh_marker(free_names(b))
             out = {}
             for a, res in late_transitions(open_binder(b, m)):
-                match a:
-                    case InputAct(chan=c) | BoundOutAct(chan=c):
-                        if c != m:
-                            out[(a, PiNu(close_binder(res, m)))] = None
-                    case FreeOutAct(chan=c, payload=pay):
-                        if c == m:
-                            continue
-                        if pay == m:
-                            out[(BoundOutAct(c), close_binder(res, m))] = None
-                        else:
-                            out[(a, PiNu(close_binder(res, m)))] = None
-                    case PiTauAct():
-                        out[(a, PiNu(close_binder(res, m)))] = None
+                if a is not PI_TAU and a.chan == m:
+                    continue  # no move on the restricted name reaches the outside
+                if type(a) is FreeOutAct and a.payload == m:
+                    out[(BoundOutAct(a.chan), close_binder(res, m))] = None
+                else:
+                    out[(a, PiNu(close_binder(res, m)))] = None
             moves = tuple(out)
         case _:
             raise TypeError(f"transitions need a closed canonical term: {t!r}")
@@ -478,10 +466,6 @@ def clear_bisim_memo() -> None:
     _SUBST_MEMO.clear()
 
 
-def _labels(ts: tuple[tuple[PiAction, PiTerm], ...]) -> frozenset[PiAction]:
-    return frozenset(a for a, _ in ts)
-
-
 def _grouped(ts: tuple[tuple[PiAction, PiTerm], ...]) -> dict[PiAction, list[PiTerm]]:
     g: dict[PiAction, list[PiTerm]] = {}
     for a, res in ts:
@@ -490,6 +474,17 @@ def _grouped(ts: tuple[tuple[PiAction, PiTerm], ...]) -> dict[PiAction, list[PiT
 
 
 def _pi_bisim(p: PiTerm, q: PiTerm, mode: str) -> bool:
+    """The game of one mode, by one challenge rule.  Each move (a, res) of
+    either side is a challenge with a list of instantiation names: none for
+    a free output or a tau, whose residual is closed; the fresh name (the
+    least reserved name free in neither side) for a bound output, and for an
+    input in ground mode; every free name of either side plus the fresh one
+    for an input in late or early mode.  The other side must answer with a
+    move of the same label whose residual, instantiated with each of the
+    names, wins against the challenge's residual instantiated with the same
+    name: one response for all the names at once, except for an early
+    input, which may be answered name by name.  Positions are memoized per
+    mode in `_BISIM_MEMO`."""
     if p == q:
         return True
     if sort_key(q) < sort_key(p):
@@ -499,72 +494,59 @@ def _pi_bisim(p: PiTerm, q: PiTerm, mode: str) -> bool:
     if cached is not None:
         return cached
 
-    tp, tq = late_transitions(p), late_transitions(q)
-    if _labels(tp) != _labels(tq):
-        _BISIM_MEMO[key] = False
-        return False
+    gp, gq = _grouped(late_transitions(p)), _grouped(late_transitions(q))
+    fresh = fresh_marker(p._free | q._free)
+    every = (*sorted(p._free | q._free), fresh)
 
-    fresh = fresh_marker(free_names(p) | free_names(q))
-    inst_names = sorted(free_names(p) | free_names(q)) + [fresh]
-    gp, gq = _grouped(tp), _grouped(tq)
+    def rounds(a: PiAction) -> list[tuple[str | None, ...]]:
+        """The challenge's names, as the rounds that one response must win:
+        all the names in one round, save for an early input, which has a
+        round per name.  None is no name: the residual is played as it is."""
+        if isinstance(a, (FreeOutAct, PiTauAct)):
+            return [(None,)]
+        if isinstance(a, BoundOutAct) or mode == "ground":
+            return [(fresh,)]
+        return [(n,) for n in every] if mode == "early" else [every]
 
-    def match_all(challenger: dict, responder: dict) -> bool:
+    def answered(challenger: dict, responder: dict) -> bool:
+        """Whether some response wins each round of each challenge."""
         for a, residuals in challenger.items():
-            cands = responder[a]
+            cands, split = responder[a], rounds(a)
             for res in residuals:
-                if isinstance(a, (FreeOutAct, PiTauAct)):
-                    if not any(_pi_bisim(res, r2, mode) for r2 in cands):
-                        return False
-                elif isinstance(a, BoundOutAct):
-                    opened = open_binder(res, fresh)
-                    if not any(_pi_bisim(opened, open_binder(r2, fresh), mode) for r2 in cands):
-                        return False
-                else:  # InputAct
-                    if mode == "ground":
-                        opened = open_binder(res, fresh)
-                        if not any(
-                            _pi_bisim(opened, open_binder(r2, fresh), mode) for r2 in cands
-                        ):
-                            return False
-                    elif mode == "late":
-                        if not any(
-                            all(
-                                _pi_bisim(open_binder(res, n), open_binder(r2, n), mode)
-                                for n in inst_names
-                            )
-                            for r2 in cands
-                        ):
-                            return False
-                    else:  # early
-                        for n in inst_names:
-                            opened = open_binder(res, n)
-                            if not any(
-                                _pi_bisim(opened, open_binder(r2, n), mode) for r2 in cands
-                            ):
-                                return False
+                for names in split:
+                    mine = [(n, res if n is None else open_binder(res, n)) for n in names]
+                    for r2 in cands:
+                        for n, r1 in mine:
+                            if not _pi_bisim(r1, r2 if n is None else open_binder(r2, n), mode):
+                                break  # r2 loses for n
+                        else:
+                            break  # r2 wins for every name of the round
+                    else:
+                        return False  # no response wins the round
         return True
 
-    result = match_all(gp, gq) and match_all(gq, gp)
+    result = gp.keys() == gq.keys() and answered(gp, gq) and answered(gq, gp)
     _BISIM_MEMO[key] = result
     return result
 
 
 def ground_bisim(p: PiTerm, q: PiTerm) -> bool:
-    """Strong ground bisimilarity: inputs and bound outputs are instantiated
-    with one canonical fresh name (the least reserved name free in neither
-    state)."""
+    """Strong ground bisimilarity: `_pi_bisim`'s rule with every input and
+    bound output instantiated with the fresh name only."""
     return _pi_bisim(p, q, "ground")
 
 
 def late_bisim(p: PiTerm, q: PiTerm) -> bool:
-    """Strong late bisimilarity: one responder continuation must work for
-    every instantiation name in fn(p) | fn(q) plus a fresh one."""
+    """Strong late bisimilarity: `_pi_bisim`'s rule with an input
+    instantiated with every free name and the fresh one, and one response
+    that must win for all of them."""
     return _pi_bisim(p, q, "late")
 
 
 def early_bisim(p: PiTerm, q: PiTerm) -> bool:
-    """Strong early bisimilarity: the responder may pick a continuation per
-    instantiation name."""
+    """Strong early bisimilarity: `_pi_bisim`'s rule with an input
+    instantiated with every free name and the fresh one, each name answered
+    by a response of its own."""
     return _pi_bisim(p, q, "early")
 
 
@@ -670,19 +652,11 @@ def classify_transitions(p: PiTerm, sigma: Mapping[str, str]) -> list[Classified
         return a
 
     for act_s, res_s in late_transitions(ps):
-        tag: str | None = None
-        if not isinstance(act_s, PiTauAct):
-            for a, res in tp:
-                if subst_action(a) == act_s and pi_substitute(res, sigma) == res_s:
-                    tag = "1"
-                    break
+        tau = act_s is PI_TAU
+        if any(subst_action(a) == act_s and pi_substitute(res, sigma) == res_s for a, res in tp):
+            tag = "2a" if tau else "1"
         else:
-            for a, res in tp:
-                if isinstance(a, PiTauAct) and pi_substitute(res, sigma) == res_s:
-                    tag = "2a"
-                    break
-            if tag is None:
-                tag = _match_created_tau(p, tp, sigma, res_s)
+            tag = _match_created_tau(p, tp, sigma, res_s) if tau else None
         out.append(ClassifiedTransition(act_s, res_s, tag))
     return out
 

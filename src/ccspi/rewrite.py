@@ -8,7 +8,6 @@ unique; two ground terms are bisimilar iff their normal forms are equal.
 
 `normalize_steps` computes normal forms in one bottom-up pass: each node is
 visited once, after its children are normal, and contracts at most once.
-`rewrite_step` is the small-step reference it is tested against.
 """
 
 from __future__ import annotations
@@ -50,29 +49,6 @@ def _redex_contractions(prefix: Prefix, cont: Term) -> list[Term]:
     return out
 
 
-def rewrite_step(t: Term) -> Term | None:
-    """Contract the innermost-leftmost redex (components in canonical order),
-    or return None if t is a normal form.  Variables are inert leaves."""
-    match t:
-        case Nil() | Var():
-            return None
-        case Sum():
-            raise ValueError("the distribution law applies to sum-free terms only")
-        case Act(prefix=p, cont=c):
-            r = rewrite_step(c)
-            if r is not None:
-                return Act(p, r)
-            contracta = _redex_contractions(p, c)
-            return contracta[0] if contracta else None
-        case Par(parts=ps):
-            for i, part in enumerate(ps):
-                r = rewrite_step(part)
-                if r is not None:
-                    return Par(ps[:i] + (r,) + ps[i + 1 :])
-            return None
-    raise TypeError(f"not a term: {t!r}")
-
-
 def rewrite_candidates(t: Term) -> frozenset[Term]:
     """Every one-step reduct of t (all redex positions and matches), for
     exploring the full reduction graph."""
@@ -94,16 +70,17 @@ def rewrite_candidates(t: Term) -> frozenset[Term]:
 
 
 def normalize_steps(t: Term) -> tuple[Term, int]:
-    """The normal form of t and the number of steps innermost-leftmost
-    rewriting (iterating `rewrite_step`) takes to reach it.
+    """The normal form of t and the number of steps that small-step
+    rewriting, one innermost-leftmost contraction at a time, takes to reach
+    it.
 
     One bottom-up pass: a Par normalizes part by part and adds their step
     counts; an Act normalizes its continuation, then tries one contraction
     at its own node.  A contractum (eta.P)^(k+1) built from a normal
     continuation is already normal, so no node is visited twice.  Confluence
-    makes the normal form the same as rewrite_step's.  The count is the
-    same too: rewrite_step also normalizes a continuation before it
-    contracts the node above, and parallel parts never interact, so each
+    makes the normal form the same as small-step rewriting's.  The count is
+    the same too: small steps also normalize a continuation before they
+    contract the node above, and parallel parts never interact, so each
     part takes the same steps whatever order the parts are rewritten in."""
 
     def go(u: Term) -> tuple[Term, int]:

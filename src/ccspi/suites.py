@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .distributed import dsim, dsim_blocks
+from .distributed import dsim_blocks
 from .erasure import ErasureContext, check_erasure_transitions, erase
 from .generate import (
     all_substitutions,
@@ -29,7 +29,7 @@ from .generate import (
     random_ccs_open,
     random_pi,
 )
-from .lts import bisimilar_oracle, refine_partition, transitions
+from .lts import bisimilar_oracle, explore, refine_partition, transitions
 from .mirrored import diagram_md_at, search_md_diagram, search_md_parallel_shape
 from .pi import (
     PiTerm,
@@ -173,24 +173,18 @@ def confluence_termination(size_bound: int = 4) -> SuiteReport:
     failures: list[str] = []
     edges = 0
     for t in universe:
-        seen = {t}
-        todo = [t]
-        irreducible: set[Term] = set()
-        while todo:
-            u = todo.pop()
-            cands = rewrite_candidates(u)
-            if not cands:
-                irreducible.add(u)
-            for v in cands:
-                edges += 1
-                if weight(v) >= weight(u):
-                    failures.append(f"weight not decreasing: {print_ccs(u)} -> {print_ccs(v)}")
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
+        table = explore([t], lambda u: [(None, v) for v in rewrite_candidates(u)])
+        irreducible = [u for u, moves in table.items() if not moves]
+        for u, moves in table.items():
+            edges += len(moves)
+            failures += [
+                f"weight not decreasing: {print_ccs(u)} -> {print_ccs(v)}"
+                for _, v in moves
+                if weight(v) >= weight(u)
+            ]
         if len(irreducible) != 1:
             failures.append(f"{print_ccs(t)}: {len(irreducible)} distinct normal forms")
-        elif next(iter(irreducible)) != normalize(t):
+        elif irreducible[0] != normalize(t):
             failures.append(f"{print_ccs(t)}: strategy disagrees with reduction graph")
     return SuiteReport(
         "confluence-termination",
@@ -353,8 +347,10 @@ def _two_step(q: Term, a1: Prefix, a2: Prefix, end: Term) -> bool:
 
 def dsim_canonical(size_bound: int = 3) -> SuiteReport:
     """dsim holds between universe terms exactly when they are the same
-    canonical form; the related pairs (all reflexive, as the first part
-    establishes) stay related under every substitution over the names."""
+    canonical form, and the dsim classes stay related under every
+    substitution over the names.  Substitution images of universe terms are
+    universe terms, so closure asks that each class's images share a block
+    of the one refinement; each image counts as one check."""
     universe = ccs_plus_terms_upto(size_bound, prefix_alphabet(NAMES))
     blocks = dsim_blocks(universe)
     groups = _classes(universe, blocks.__getitem__)
@@ -367,12 +363,14 @@ def dsim_canonical(size_bound: int = 3) -> SuiteReport:
             )
     sigmas = all_substitutions(NAMES, NAMES)
     checked = len(universe) * (len(universe) - 1) // 2
-    for t in universe:
+    for members in groups:
         for sg in sigmas:
-            u = substitute(t, sg)
-            checked += 1
-            if not dsim(u, u):
-                failures.append(f"substitution broke a related pair: {print_ccs(t)} under {sg}")
+            images = {blocks.get(substitute(t, sg)) for t in members}
+            checked += len(members)
+            if len(images) > 1 or None in images:
+                failures.append(
+                    f"substitution broke a dsim class: {print_ccs(members[0])} under {sg}"
+                )
     return SuiteReport(
         "dsim-canonical",
         checked=checked,

@@ -24,6 +24,7 @@ from typing import Callable
 import pytest
 
 import ccspi
+from ccspi import suites
 from ccspi.suites import SUITES, run_suite
 
 # the bounds of `TINY` in perfbench/workloads.py; md-with-sums takes none
@@ -65,9 +66,9 @@ def strong_in_place_of_distributed(mp: pytest.MonkeyPatch) -> None:
         block = strong_blocks([p, q])
         return block[p] == block[q]
 
+    mp.setattr("ccspi.distributed.dsim", strong)
     for module in ("distributed", "suites"):
         mp.setattr(f"ccspi.{module}.dsim_blocks", strong_blocks)
-        mp.setattr(f"ccspi.{module}.dsim", strong)
 
 
 def no_synchronisation(mp: pytest.MonkeyPatch) -> None:
@@ -142,9 +143,9 @@ def dsim_is_identity(mp: pytest.MonkeyPatch) -> None:
     def own_blocks(roots):
         return {s: i for i, s in enumerate(explore(roots, d_step))}
 
+    mp.setattr("ccspi.distributed.dsim", lambda p, q: p is q)
     for module in ("distributed", "suites"):
         mp.setattr(f"ccspi.{module}.dsim_blocks", own_blocks)
-        mp.setattr(f"ccspi.{module}.dsim", lambda p, q: p is q)
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,15 @@ def test_dsim_separation_catches_strong_in_place_of_distributed_at_size_3(monkey
     # not.  dsim_blocks keeps nothing, so the fault shows in this interpreter
     strong_in_place_of_distributed(monkeypatch)
     assert not run_suite("dsim-separation", size_bound=3).passed
+
+
+def test_dsim_canonical_substitution_half_catches_strong_in_place_of_distributed(monkeypatch):
+    # at size 4 some strong classes are not closed under substitution, e.g.
+    # a.0 | 'b.0 and a.'b.0 + 'b.a.0 under b -> a; called directly, since
+    # run_suite keeps only the first ten failures, which the first half fills
+    strong_in_place_of_distributed(monkeypatch)
+    failures = suites.dsim_canonical(size_bound=4).failures
+    assert any(f.startswith("substitution broke") for f in failures)
 
 
 @pytest.mark.parametrize("name", list(MISSED))

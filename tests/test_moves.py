@@ -26,7 +26,6 @@ from ccspi.pi import (
     InputAct,
     PiPar,
     PiTerm,
-    dangling,
     late_transitions,
     open_binder,
 )
@@ -60,7 +59,7 @@ def test_ccs_nodes_keep_no_moves():
 def _random_pi_subterms():
     rng = random.Random(15)
     sampled = [random_pi(rng, 6, 3, ("a", "b", "c")) for _ in range(500)]
-    return [t for t in _pi_subterms(sampled) if not dangling(t)]
+    return [t for t in _pi_subterms(sampled) if not t._dangling]
 
 
 PI_UNIVERSES = {
@@ -86,7 +85,7 @@ def test_join_par_is_the_constructor():
         assert join_par(cls, rest, residuals) is cls(rest + residuals), (rest, residuals)
         for r in residuals:
             met.add(type(r).__name__)
-            if isinstance(r, PiTerm) and dangling(r):
+            if isinstance(r, PiTerm) and r._dangling:
                 met.add("open")
 
     for universe in CCS_UNIVERSES.values():

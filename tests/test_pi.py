@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from canonical_form import is_canonical
 from ccspi.generate import pi_terms_upto, random_pi
+import game_reference
 import pi_reference
 from ccspi.pi import (
     PI_NIL,
@@ -27,7 +28,6 @@ from ccspi.pi import (
     classify_transitions,
     clear_bisim_memo,
     close_binder,
-    dangling,
     early_bisim,
     free_names,
     fresh_marker,
@@ -80,7 +80,7 @@ def test_vacuous_nu_is_dropped():
 def test_open_close_binder_roundtrip():
     t = parse_pi("(nu p)(p(x).p<a>.0)")
     body = open_binder(t.body, "z")
-    assert dangling(body) == frozenset()
+    assert body._dangling == 0
     assert "z" in free_names(body)
     assert close_binder(body, "z") == t.body
 
@@ -158,7 +158,7 @@ def test_renaming_walks_match_the_generic_walk():
         for _ in range(2):
             sigma = {n: rng.choice(targets) for n in rng.sample(("a", "b", "c", "d"), 3)}
             cases.append(("substitute", t, sigma))
-        if 0 not in dangling(t):
+        if not t._dangling & 1:
             cases.append(("drop binder", t, None))
     expected = [RENAMINGS[op][1](t, arg) for op, t, arg in cases]
     clear_bisim_memo()
@@ -173,7 +173,7 @@ def test_renaming_walks_match_the_generic_walk():
 
 @given(pi_st())
 def test_random_terms_closed_and_canonical(t):
-    assert dangling(t) == frozenset()
+    assert pi_reference.dangling(t) == frozenset()
     assert is_canonical(t)
 
 
@@ -233,11 +233,10 @@ def test_stored_measures_on_open_terms(t):
 def test_dangling_matches_a_walk_of_the_references():
     terms = pi_terms_upto(3, 1, ("a", "b"))
     opened = [t.body for t in _pi_subterms(terms) if isinstance(t, (PiInput, PiNu))]
-    assert any(len(dangling(t)) > 1 for t in opened)
-    for t in terms + opened:
-        got = dangling(t)
-        assert type(got) is frozenset
-        assert got == pi_reference.dangling(t), t
+    walked = {t: pi_reference.dangling(t) for t in terms + opened}
+    assert any(len(found) > 1 for found in walked.values())
+    for t, found in walked.items():
+        assert t._dangling == sum(1 << i for i in found), t
 
 
 def test_labels_are_interned():
@@ -266,7 +265,7 @@ def test_input_transition_leaves_binder_open():
     t = parse_pi("a(x).x<a>.0")
     ((action, res),) = late_transitions(t)
     assert action == InputAct("a")
-    assert dangling(res) == frozenset({0})
+    assert res._dangling == 1
     assert open_binder(res, "z") == parse_pi("z<a>.0")
 
 
@@ -305,7 +304,7 @@ def test_tau_on_free_channel():
 @settings(max_examples=60)
 def test_transitions_shrink_prefix_count(t):
     for action, res in late_transitions(t):
-        probe = open_binder(res, "#z") if dangling(res) else res
+        probe = open_binder(res, "#z") if res._dangling else res
         expected = 2 if isinstance(action, PiTauAct) else 1
         assert pi_size(probe) == pi_size(t) - expected
 
@@ -351,6 +350,50 @@ def test_scope_extrusion_is_ground_bisimilar():
     l = parse_pi("(nu p)(a<p>.0 | b(y).0)")
     r = PiPar([parse_pi("b(y).0"), parse_pi("(nu p)(a<p>.0)")])
     assert ground_bisim(l, r)
+
+
+def _ground_class_neighbours(max_prefixes, max_nus, frees):
+    universe = pi_terms_upto(max_prefixes, max_nus, frees)
+    block = pi_blocks(universe, frees, "ground")
+    classes = {}
+    for t in universe:
+        classes.setdefault(block[(t, 0)], []).append(t)
+    return [pair for cls in classes.values() for pair in zip(cls, cls[1:])]
+
+
+# the scope-extrusion pair of the CI step that runs the installed script
+TEN_PREFIX_PAIR = (
+    "(nu x)(c<x>.x(y).y<d>.0) | e(z).z<c>.0 | (nu x)(e<x>.x(y).y<c>.0) | c(z).z<d>.0"
+    " | a(u).0 | a(v).0",
+    "(nu x)(c<x>.x(y).y<d>.0 | e(z).z<c>.0) | (nu x)(e<x>.x(y).y<c>.0 | c(z).z<d>.0)"
+    " | a(u).a(v).0",
+)
+
+DIFFERENTIAL_PAIRS = {
+    "every-pair-2-1-ab": lambda: list(combinations(pi_terms_upto(2, 1, ("a", "b")), 2)),
+    "ground-class-neighbours-3-1-ab": lambda: _ground_class_neighbours(3, 1, ("a", "b")),
+    "ten-prefix-pair": lambda: [tuple(map(parse_pi, TEN_PREFIX_PAIR))],
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_PAIRS))
+def test_one_challenge_rule_plays_the_branch_by_branch_game(name):
+    """The game by one challenge rule and the reference game, written one
+    branch per kind of challenge and per mode, give every pair the same
+    verdict and leave equal memos: both expanded the same positions."""
+    pairs = DIFFERENTIAL_PAIRS[name]()
+    random.Random(24).shuffle(pairs)
+    games = {"ground": ground_bisim, "late": late_bisim, "early": early_bisim}
+    for mode, game in games.items():
+        clear_bisim_memo()
+        game_reference.MEMO.clear()
+        try:
+            for p, q in pairs:
+                assert game(p, q) == game_reference.pi_bisim(p, q, mode), (mode, p, q)
+            assert pi._BISIM_MEMO == game_reference.MEMO, mode
+        finally:
+            clear_bisim_memo()
+            game_reference.MEMO.clear()
 
 
 # classes by one refinement --------------------------------------------------

@@ -15,7 +15,6 @@ from ccspi.rewrite import (
     normalize_steps,
     prime_decompose,
     rewrite_candidates,
-    rewrite_step,
 )
 from ccspi.syntax import parse_ccs
 from ccspi.terms import (
@@ -31,6 +30,7 @@ from ccspi.terms import (
     weight,
 )
 from prime_reference import is_prime_bruteforce
+from rewrite_reference import rewrite_step
 
 
 def term_st(with_vars=False):
