@@ -124,6 +124,12 @@ class Node:
 sort_key: Callable[[Node], tuple] = attrgetter("_key")
 
 
+def _par_node(cls: type[Node], parts: tuple[Node, ...]) -> Node:
+    """`cls._make(parts)` for the one-field `Par` or `PiPar`, whose intern
+    table maps the parts tuple itself to its node."""
+    return cls._table.get(parts) or cls._intern((parts,))
+
+
 def flat_par(cls: type[Node], parts: Iterable[Node]) -> Node:
     """The constructor of `Par` and `PiPar`, their `__new__`: the canonical
     parallel composition of parts.  Nested `cls` nodes are flattened, the
@@ -141,7 +147,7 @@ def flat_par(cls: type[Node], parts: Iterable[Node]) -> Node:
     if len(items) == 1:
         return items[0]
     items.sort(key=sort_key)
-    return cls._make(tuple(items))
+    return _par_node(cls, tuple(items))
 
 
 def join_par(cls: type[Node], rest: tuple[Node, ...], residuals: Iterable[Node]) -> Node:
@@ -159,7 +165,7 @@ def join_par(cls: type[Node], rest: tuple[Node, ...], residuals: Iterable[Node])
         elif r is not nil:
             insort(items, r, key=sort_key)
     if len(items) > 1:
-        return cls._make(tuple(items))
+        return _par_node(cls, tuple(items))
     return items[0] if items else nil
 
 

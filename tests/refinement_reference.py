@@ -1,7 +1,10 @@
 """A test-side Kanellakis-Smolka refinement, written apart from the one-pass
 engine in `ccspi.lts` that it checks: every round re-signs every state over
-the previous round's blocks, until a round splits no block."""
+the previous round's blocks, until a round splits no block.  Also the strong
+oracle over terms, which the oracle over markings in `ccspi.lts` must agree
+with."""
 
+from ccspi.lts import _signature, explore, refine_partition, transitions
 from ccspi.pi import BoundOutAct, FreeOutAct, PiTauAct, late_transitions, open_binder
 
 
@@ -95,3 +98,32 @@ def flat_pi_step(frees, mode):
         return out
 
     return step
+
+
+# the term-level strong oracle ----------------------------------------------
+#
+# `ccspi.lts.bisimilar_oracle` and `distinguishing_depth` refine the markings
+# of a net; these are the same two procedures over the terms themselves,
+# stepped by `transitions`, as the library ran them before it had the net.
+
+
+def bisimilar_oracle(p, q):
+    block = refine_partition([p, q], transitions)
+    return block[p] == block[q]
+
+
+def distinguishing_depth(p, q):
+    table = explore([p, q], transitions)
+    final = refine_partition([p, q], table.__getitem__)
+    if final[p] == final[q]:
+        return None
+    block = dict.fromkeys(table, 0)
+    rounds = 0
+    while block[p] == block[q]:
+        ids = {}
+        pairs = {}
+        block = {
+            s: ids.setdefault(_signature(ms, block, pairs), len(ids)) for s, ms in table.items()
+        }
+        rounds += 1
+    return rounds

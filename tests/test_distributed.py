@@ -37,7 +37,8 @@ def test_d_transitions_sum_and_errors():
 
 def test_explore_closes_both_residuals():
     # hand enumeration: a moves to local b.0 beside concurrent c.0, and c to
-    # local 0 beside concurrent a.b.0; each pair state moves to both parts
+    # local 0 beside concurrent a.b.0; each pair state moves to both parts,
+    # and a move with concurrent part 0 goes to its local part itself
     root = parse_ccs("a.b.0 | c.0")
     left, right = (parse_ccs("b.0"), parse_ccs("c.0")), (NIL, parse_ccs("a.b.0"))
     table = explore([root], d_step)
@@ -48,12 +49,12 @@ def test_explore_closes_both_residuals():
         parse_ccs("b.0"),  # local residual
         parse_ccs("c.0"),  # concurrent residual
         parse_ccs("a.b.0"),
-        (parse_ccs("b.0"), NIL),
-        (NIL, NIL),
         NIL,
     }
     assert set(table[root]) == {(Prefix("a"), left), (Prefix("c"), right)}
     assert set(table[left]) == {(0, parse_ccs("b.0")), (1, parse_ccs("c.0"))}
+    assert table[parse_ccs("a.b.0")] == [(Prefix("a"), parse_ccs("b.0"))]
+    assert table[parse_ccs("b.0")] == [(Prefix("b"), NIL)]
 
 
 def test_expansion_separates_local_from_concurrent():

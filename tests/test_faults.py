@@ -75,22 +75,24 @@ def no_synchronisation(mp: pytest.MonkeyPatch) -> None:
     from ccspi import lts
 
     moves = lts._par_moves
-    mp.setattr("ccspi.lts._par_moves", lambda ps: (m for m in moves(ps) if m[0] is not lts.TAU))
+
+    def faulty(comps, pair_rest):
+        return (m for m in moves(comps, pair_rest) if m[0] is not lts.TAU)
+
+    mp.setattr("ccspi.lts._par_moves", faulty)
 
 
 def identical_neighbours_never_synchronise(mp: pytest.MonkeyPatch) -> None:
-    """`_par_moves` skips a second partner that is its left neighbour even
-    when that neighbour is the first partner, so two identical copies, as
-    in (a.0 + 'a.0) | (a.0 + 'a.0), lose their synchronisation."""
+    """`_par_moves` pairs a component only with the components after it,
+    never with a copy of itself, so two identical copies, as in
+    (a.0 + 'a.0) | (a.0 + 'a.0), lose their synchronisation."""
     from ccspi import lts
 
     moves = lts._par_moves
 
-    def faulty(ps):
-        for a, rest, locs in moves(ps):
-            # the two partners are one node exactly when rest lacks two of it
-            if a is not lts.TAU or all(ps.count(p) - rest.count(p) < 2 for p in ps):
-                yield a, rest, locs
+    def faulty(comps, pair_rest):
+        # one copy each: the rule then never pairs a component with itself
+        return moves([(1, *c[1:]) for c in comps], pair_rest)
 
     mp.setattr("ccspi.lts._par_moves", faulty)
 
@@ -280,6 +282,28 @@ def test_a_check_catches_a_fault_the_suites_miss(name, monkeypatch):
     # CCS nodes keep no moves, so the fault shows in this interpreter
     MISSED[name].patch(monkeypatch)
     assert not check()
+
+
+# a pair of CCS+ terms on which each synchronisation fault flips the oracle
+# from "not bisimilar" (only the left side has a tau) to "bisimilar"
+ORACLE_WITNESSES = {
+    "no-synchronisation": ("a.0 | 'a.0", "a.'a.0 + 'a.a.0"),
+    "identical-neighbours-never-synchronise": (
+        "(a.0 + 'a.0) | (a.0 + 'a.0)",
+        "a.(a.0 + 'a.0) + 'a.(a.0 + 'a.0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_WITNESSES))
+def test_the_fault_flips_the_oracle_on_its_witness(name, monkeypatch):
+    from ccspi.lts import bisimilar_oracle
+    from ccspi.syntax import parse_ccs_plus
+
+    p, q = (parse_ccs_plus(s) for s in ORACLE_WITNESSES[name])
+    assert not bisimilar_oracle(p, q)
+    {**CAUGHT, **MISSED}[name].patch(monkeypatch)
+    assert bisimilar_oracle(p, q)
 
 
 @pytest.mark.parametrize("name", list(EQUIVALENT))

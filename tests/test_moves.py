@@ -20,7 +20,7 @@ from ccspi.generate import (
     prefix_alphabet,
     random_pi,
 )
-from ccspi.lts import _par_moves, d_transitions, transitions
+from ccspi.lts import _term_moves, d_transitions, transitions
 from ccspi.pi import (
     FreeOutAct,
     InputAct,
@@ -91,7 +91,7 @@ def test_join_par_is_the_constructor():
     for universe in CCS_UNIVERSES.values():
         for t in universe:
             if isinstance(t, Par):
-                for _, rest, locs in _par_moves(t.parts):
+                for _, rest, locs in _term_moves(t.parts):
                     check(Par, rest, locs)
                     check(Par, rest, ())
     for universe in PI_UNIVERSES.values():
