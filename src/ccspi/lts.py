@@ -52,12 +52,15 @@ signature is the sorted tuple of its moves' numbers.  Only the step
 differs: the marking step or `transitions` for strong bisimilarity, and
 `distributed.d_step` and `pi.pi_step`, which each build a move with several
 successors as a state of its own whose moves lead to them one by one.
-`explore` tabulates the moves of every reachable state, for the rounds of
-`distinguishing_depth`.
+`distinguishing_depth` reads its rounds off that one pass, whose numberings
+hold the quotient.  `explore`, which tabulates the moves of every reachable
+state, now serves only the reduction graph of the confluence-termination
+suite, and tests.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Iterable, Iterator
 
 from .terms import (
@@ -285,6 +288,14 @@ def refine_partition(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) ->
     so only the states on the current path keep theirs.  A state met again
     while it is still being expanded closes a cycle, and raises ValueError:
     the state space is then not well founded."""
+    return _refine(roots, step)[0]
+
+
+def _refine(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> tuple[dict, dict, dict]:
+    """The pass of `refine_partition`, with its two numberings: the blocks
+    {state: block}, `ids` {signature: block} and `pairs` {(label, block):
+    number}.  Inverted, the two numberings are the quotient: block b's
+    moves are the (label, block) pairs that its signature numbers."""
     block: dict = {}
     ids: dict = {}
     pairs: dict = {}
@@ -309,7 +320,7 @@ def refine_partition(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) ->
                     continue
             todo.pop()
             block[s] = ids.setdefault(_signature(moves, block, pairs), len(ids))
-    return block
+    return block, ids, pairs
 
 
 def bisimilar_oracle(p: Term, q: Term) -> bool:
@@ -325,22 +336,40 @@ def bisimilar_oracle(p: Term, q: Term) -> bool:
 def distinguishing_depth(p: Term, q: Term) -> int | None:
     """Least number of bisimulation-game rounds distinguishing p and q,
     or None if they are bisimilar: the first Kanellakis-Smolka round, each
-    splitting states by their signature over the previous round's blocks,
-    that separates them.  The rounds run only when the one pass has put p
-    and q in different blocks, so some round separates them."""
+    splitting states by their signature over the previous round's classes,
+    that separates them.
+
+    One pass of `_refine` over the joint markings gives the verdict and,
+    through its two numberings, the quotient: block b's moves are the
+    (label, block) pairs that its signature numbers.  The rounds split
+    blocks, not markings, and take as many rounds: bisimilarity refines
+    every round's partition, so a round's class is a union of blocks and a
+    marking signs as its block does.  A round reads the previous round's
+    classes only for the successors of the blocks it signs, so when round k
+    is the last, round j signs only the blocks within k - j moves of p's
+    and q's: each new round adds the next layer of blocks to every earlier
+    round.  The rounds run only when p and q are in different blocks, so
+    some round separates them."""
     _, marking, step = _net(p, q)
     mp, mq = marking(p), marking(q)
-    table = explore([mp, mq], step)
-    final = refine_partition([mp, mq], table.__getitem__)
-    if final[mp] == final[mq]:
+    final, ids, pairs = _refine([mp, mq], step)
+    bp, bq = final[mp], final[mq]
+    if bp == bq:
         return None
-    block = dict.fromkeys(table, 0)
-    rounds = 0
-    while block[mp] == block[mq]:
-        ids: dict = {}
-        pairs: dict = {}
-        block = {
-            s: ids.setdefault(_signature(ms, block, pairs), len(ids)) for s, ms in table.items()
-        }
-        rounds += 1
-    return rounds
+    signatures, numbered = list(ids), list(pairs)  # by block, by number
+    moves: dict = {}  # each block reached so far: its (label, block) pairs
+    layers: list[list] = []  # layers[d]: the blocks first reached in d moves
+    rounds: list[tuple[dict, dict, dict]] = [(defaultdict(int), {}, {})]  # round 0: one class
+    reach = [bp, bq]
+    while rounds[-1][0][bp] == rounds[-1][0][bq]:
+        for b in reach:
+            moves[b] = [numbered[n] for n in signatures[b]]
+        layers.append(reach)
+        reach = list(dict.fromkeys(t for b in reach for _, t in moves[b] if t not in moves))
+        rounds.append(({}, {}, {}))
+        for j in range(1, len(rounds)):
+            block, ids, pairs = rounds[j]
+            previous = rounds[j - 1][0]
+            for b in layers[len(layers) - j]:
+                block[b] = ids.setdefault(_signature(moves[b], previous, pairs), len(ids))
+    return len(layers)

@@ -8,12 +8,15 @@ unique; two ground terms are bisimilar iff their normal forms are equal.
 
 `normalize_steps` computes normal forms in one bottom-up pass: each node is
 visited once, after its children are normal, and contracts at most once.
+It carries each normal form as its parallel components with their copies,
+which is what the one redex matcher, `_redex_contractions`, reads, so a
+contraction adds copies to a count and builds no `Par`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
+from typing import Iterable
 
 from .terms import (
     Act,
@@ -29,23 +32,30 @@ from .terms import (
 )
 
 
-def _redex_contractions(prefix: Prefix, cont: Term) -> list[Term]:
-    """All ways the node prefix.cont matches eta.(P | (eta.P)^k), each giving
-    the contractum (eta.P)^(k+1).  Ordered by component for determinism.
+def _counts(parts: Iterable[Term]) -> dict[Term, int]:
+    """Each distinct part with its number of copies."""
+    counts: dict[Term, int] = {}
+    for p in parts:
+        counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+def _redex_contractions(prefix: Prefix, counts: dict[Term, int]) -> list[tuple[Term, int]]:
+    """All ways the node prefix.cont matches eta.(P | (eta.P)^k), where
+    counts holds cont's parallel components with their copies, each as
+    (eta.P, k + 1): the contractum (eta.P)^(k+1).  Ordered by component for
+    determinism.
 
     A candidate component e = eta.P fixes k: cont's components are P's plus
     k copies of e, and every other count must agree exactly with need,
     which counts P's components.  e is larger than every component of P,
     so it is none of them: k is all of counts[e], at least 1."""
-    counts = Counter(parallel_components(cont))
-    out: list[Term] = []
-    for e in sorted(counts, key=sort_key):
-        if not (isinstance(e, Act) and e.prefix == prefix):
-            continue
-        need = Counter(parallel_components(e.cont))
+    out: list[tuple[Term, int]] = []
+    for e in sorted([e for e in counts if type(e) is Act and e.prefix is prefix], key=sort_key):
+        need = _counts(parallel_components(e.cont))
         k = need[e] = counts[e]
         if need == counts:
-            out.append(Par([e] * (k + 1)))
+            out.append((e, k + 1))
     return out
 
 
@@ -57,7 +67,8 @@ def rewrite_candidates(t: Term) -> frozenset[Term]:
         case Act(prefix=p, cont=c):
             for r in rewrite_candidates(c):
                 out.add(Act(p, r))
-            out.update(_redex_contractions(p, c))
+            counts = _counts(parallel_components(c))
+            out.update(Par([e] * n) for e, n in _redex_contractions(p, counts))
         case Par(parts=ps):
             for i, part in enumerate(ps):
                 for r in rewrite_candidates(part):
@@ -81,24 +92,47 @@ def normalize_steps(t: Term) -> tuple[Term, int]:
     makes the normal form the same as small-step rewriting's.  The count is
     the same too: small steps also normalize a continuation before they
     contract the node above, and parallel parts never interact, so each
-    part takes the same steps whatever order the parts are rewritten in."""
+    part takes the same steps whatever order the parts are rewritten in.
 
-    def go(u: Term) -> tuple[Term, int]:
+    The pass carries each normal form as its parallel components with their
+    copies, as the matcher reads it, and builds a `Par` only for a
+    continuation that does not contract and for the result: a contraction
+    is then one count, so a chain of n copies of one prefix costs O(1) per
+    level, not a new `Par` of k copies at level k."""
+
+    def go(u: Term) -> tuple[dict[Term, int], int]:
         match u:
-            case Nil() | Var():
-                return u, 0
+            case Nil():
+                return {}, 0
+            case Var():
+                return {u: 1}, 0
             case Sum():
                 raise ValueError("the distribution law applies to sum-free terms only")
             case Act(prefix=p, cont=c):
-                nc, steps = go(c)
-                contracta = _redex_contractions(p, nc)
-                return (contracta[0], steps + 1) if contracta else (Act(p, nc), steps)
+                counts, steps = go(c)
+                contracta = _redex_contractions(p, counts)
+                if contracta:
+                    e, copies = contracta[0]
+                    return {e: copies}, steps + 1
+                return {Act(p, _par(counts)): 1}, steps
             case Par(parts=ps):
-                done = [go(part) for part in ps]
-                return Par(nf for nf, _ in done), sum(steps for _, steps in done)
+                counts, steps = {}, 0
+                for part in ps:
+                    nf, n = go(part)
+                    for e, copies in nf.items():
+                        counts[e] = counts.get(e, 0) + copies
+                    steps += n
+                return counts, steps
         raise TypeError(f"not a term: {u!r}")
 
-    return go(t)
+    counts, steps = go(t)
+    return _par(counts), steps
+
+
+def _par(counts: dict[Term, int]) -> Term:
+    """The parallel composition of each component in counts, in its
+    copies."""
+    return Par([c for c, n in counts.items() for _ in range(n)])
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,10 @@ contraction at a time, written apart from `ccspi.rewrite.normalize_steps`,
 which normalizes in one bottom-up pass and is tested against it.  It shares
 only the redex matcher `_redex_contractions`."""
 
+from collections import Counter
+
 from ccspi.rewrite import _redex_contractions
-from ccspi.terms import Act, Nil, Par, Sum, Term, Var
+from ccspi.terms import Act, Nil, Par, Sum, Term, Var, parallel_components
 
 
 def rewrite_step(t: Term) -> Term | None:
@@ -19,8 +21,8 @@ def rewrite_step(t: Term) -> Term | None:
             r = rewrite_step(c)
             if r is not None:
                 return Act(p, r)
-            contracta = _redex_contractions(p, c)
-            return contracta[0] if contracta else None
+            contracta = _redex_contractions(p, Counter(parallel_components(c)))
+            return Par([contracta[0][0]] * contracta[0][1]) if contracta else None
         case Par(parts=ps):
             for i, part in enumerate(ps):
                 r = rewrite_step(part)

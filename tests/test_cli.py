@@ -10,6 +10,7 @@ import pytest
 
 import ccspi
 from ccspi.cli import build_parser, main
+from ccspi.lts import explore
 from ccspi.suites import SUITES, run_suite
 
 
@@ -72,20 +73,32 @@ def test_bisim_depth_payload(capsys):
     ],
     ids=["ccs", "ccs+"],
 )
-def test_bisim_depth_explores_once(capsys, monkeypatch, argv, payload):
-    # the oracle's verdict is read off the distinguishing depth, so the
-    # joint state space is explored once, not once per answer
-    calls = []
-    explore = ccspi.lts.explore
+def test_bisim_depth_steps_each_marking_once(capsys, monkeypatch, argv, payload):
+    # the oracle's verdict and the depth come from one pass over the joint
+    # markings, which steps each reachable marking once; the rounds split
+    # the blocks of that pass and step nothing
+    net = ccspi.lts._net
+    nets = []
 
-    def counted(*args):
-        calls.append(args)
-        return explore(*args)
+    def counted_net(p, q):
+        components, marking, step = net(p, q)
+        stepped = []
+        moves = {}
 
-    monkeypatch.setattr(ccspi.lts, "explore", counted)
+        def counted(m):
+            stepped.append(m)
+            moves[m] = step(m)
+            return moves[m]
+
+        nets.append((marking(p), marking(q), stepped, moves))
+        return components, marking, counted
+
+    monkeypatch.setattr(ccspi.lts, "_net", counted_net)
     code, out, _ = run(capsys, "bisim", *argv, "--depth", "--format", "json")
     assert code == 1 and json.loads(out)["payload"] == payload
-    assert len(calls) == 1
+    [(mp, mq, stepped, moves)] = nets
+    assert len(stepped) == len(moves)
+    assert explore([mp, mq], moves.__getitem__).keys() == moves.keys()
 
 
 def test_bisim_depth_rejects_open_terms(capsys):

@@ -97,6 +97,24 @@ def identical_neighbours_never_synchronise(mp: pytest.MonkeyPatch) -> None:
     mp.setattr("ccspi.lts._par_moves", faulty)
 
 
+def matcher_ignores_copies(mp: pytest.MonkeyPatch) -> None:
+    """The redex matcher checks which components occur, not how many copies
+    of each, so a.(b.0 | a.(b.0 | b.0)) contracts to a.(b.0 | b.0) | a.(b.0 |
+    b.0) though P is b.0 | b.0 and the continuation holds one b.0."""
+    from ccspi.terms import Act, parallel_components, sort_key
+
+    def faulty(prefix, counts):
+        return [
+            (e, counts[e] + 1)
+            for e in sorted(counts, key=sort_key)
+            if isinstance(e, Act)
+            and e.prefix is prefix
+            and {*parallel_components(e.cont), e} == counts.keys()
+        ]
+
+    mp.setattr("ccspi.rewrite._redex_contractions", faulty)
+
+
 def no_bound_output_communication(mp: pytest.MonkeyPatch) -> None:
     """A parallel composition loses the taus by which a component receives a
     name that another extrudes."""
@@ -202,8 +220,24 @@ def ccs_plus_moves_are_the_reference_moves() -> bool:
     return all(transitions(t) == ref.ordered_transitions(t) for t in universe)
 
 
-# the suites' blind spots: no suite fails under these at any bound
+def normalization_keeps_the_size() -> bool:
+    """Whether `normalize_steps` keeps the size of every sum-free term up to
+    size 5 on the positive prefixes a and b, as the distribution law does:
+    a wrong match contracts a node into a term of another size.  It calls
+    `normalize_steps`, which keeps nothing, since `normalize` would answer
+    from its cache."""
+    from ccspi.generate import ccs_terms_upto
+    from ccspi.rewrite import normalize_steps
+    from ccspi.terms import Prefix, size
+
+    universe = ccs_terms_upto(5, (Prefix("a"), Prefix("b")))
+    return all(size(normalize_steps(t)[0]) == size(t) for t in universe)
+
+
+# the suites' blind spots: no suite fails under these, at the reduced bounds
+# or at the default ones
 MISSED = {
+    "matcher-ignores-copies": Fault(matcher_ignores_copies, check=normalization_keeps_the_size),
     "identical-neighbours-never-synchronise": Fault(
         identical_neighbours_never_synchronise, check=ccs_plus_moves_are_the_reference_moves
     ),

@@ -8,7 +8,7 @@ import pytest
 
 import refinement_reference as ref
 from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
-from ccspi.lts import _net, bisimilar_oracle, distinguishing_depth, explore, transitions
+from ccspi.lts import _net, _refine, bisimilar_oracle, distinguishing_depth, explore, transitions
 from ccspi.syntax import parse_ccs, parse_ccs_plus
 from ccspi.terms import NIL, Act, Par, Prefix, Sum, Term, size
 
@@ -148,6 +148,8 @@ def test_verdicts_are_the_term_level_ones_on_universe_pairs():
         ("a.0 | a.0 | a.0 | 'a.0", "a.0 | a.0 | 'a.0 | a.0", None),
         ("a.0 | a.0 | a.0 | 'a.0", "a.0 | a.0 | 'a.0 | 'a.0", 2),
         ("a.a.0 | a.0 | a.0 | a.0", "a.0 | a.0 | a.0 | a.0", 5),
+        # six copies beside the two polarities of b
+        ("a.0 | a.0 | a.0 | a.0 | a.0 | a.0 | b.0", "a.0 | a.0 | a.0 | a.0 | a.0 | a.0 | 'b.0", 1),
         # summands of both polarities, in several copies, synchronising with
         # their own copies
         ("(a.0 + 'a.0) | (a.0 + 'a.0)", "a.(a.0 + 'a.0) + 'a.(a.0 + 'a.0)", 1),
@@ -163,6 +165,46 @@ def test_edge_cases(p, q, depth):
     p, q = parse_ccs_plus(p), parse_ccs_plus(q)
     assert distinguishing_depth(p, q) == ref.distinguishing_depth(p, q) == depth
     assert bisimilar_oracle(p, q) == ref.bisimilar_oracle(p, q) == (depth is None)
+
+
+def chain(n: int) -> Term:
+    t = NIL
+    for _ in range(n):
+        t = Act(Prefix("a"), t)
+    return t
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_depth_of_a_chain_against_a_longer_one(n):
+    # n + 1 rounds, each adding one layer of the quotient
+    p, q = chain(n), chain(n + 1)
+    assert distinguishing_depth(p, q) == ref.distinguishing_depth(p, q) == n + 1
+
+
+A6 = "a.0 | a.0 | a.0 | a.0 | a.0 | a.0"
+
+
+@pytest.mark.parametrize(
+    "p,q,depth",
+    [
+        ("a.a.0 | a.a.0 | a.a.0 | b.0", f"{A6} | 'b.0", 1),
+        ("a.a.0 | a.a.0 | a.a.0 | b.0", f"{A6} | b.0", None),
+        ("a.a.a.0 | a.a.0 | a.0 | b.0", f"{A6} | b.b.0", 2),
+        ("a.a.0 | a.a.0 | a.a.0 | 'a.0", f"{A6} | 'a.'a.0", 2),
+        ("a.a.a.0 | a.a.a.0 | 'a.b.0", f"{A6} | 'a.c.0", 2),
+        ("a.a.a.0 | a.a.a.0 | b.b.b.b.0", f"{A6} | b.b.b.0", 4),
+        ("a.a.0 | a.a.0 | a.a.0 | b.c.b.c.0", f"{A6} | b.c.b.0", 4),
+        ("a.a.a.0 | a.a.a.0 | b.c.b.c.0", "a.a.0 | a.a.0 | a.a.0 | b.c.b.b.0", 4),
+    ],
+)
+def test_depth_where_the_quotient_is_smaller_than_the_markings(p, q, depth):
+    # the copies of a.0 that a.a.0 and a.a.a.0 leave behind make many
+    # markings bisimilar, so the rounds split far fewer blocks than markings
+    p, q = parse_ccs(p), parse_ccs(q)
+    _, marking, step = _net(p, q)
+    block, ids, _ = _refine([marking(p), marking(q)], step)
+    assert len(ids) < 0.8 * len(block)
+    assert distinguishing_depth(p, q) == ref.distinguishing_depth(p, q) == depth
 
 
 @pytest.mark.parametrize("p,q", [("X", "a.0"), ("a.0 | a.X", "a.a.0"), ("a.0", "b.(X | c.0)")])

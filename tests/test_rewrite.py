@@ -26,6 +26,7 @@ from ccspi.terms import (
     Var,
     instantiate,
     parallel_components,
+    size,
     sort_key,
     weight,
 )
@@ -92,9 +93,24 @@ def test_normalize_steps_matches_small_steps(t):
 def test_normalize_steps_on_prefix_chains():
     a0 = parse_ccs("a.0")
     chain = NIL
-    for n in range(1, 41):
+    for n in range(1, 61):
         chain = Act(Prefix("a"), chain)
         assert normalize_steps(chain) == rewrite_to_fixpoint(chain) == (Par([a0] * n), n - 1)
+
+
+@pytest.mark.parametrize("run", [1, 2, 3, 5])
+def test_normalize_steps_on_chains_that_switch_name(run):
+    # the name switches every `run` prefixes, and where it switches the
+    # chain t grows to x.(t | x.t), a redex when x.t does not contract,
+    # until it holds 50 prefixes: redexes sit at several heights, and runs
+    # of prefixes that do not contract stand on contracta
+    names = [Prefix("a"), Prefix("b"), Prefix("a", True)]
+    chain = NIL
+    for n in range(60):
+        x = names[n // run % 3]
+        switch = n % run == 0 and size(chain) < 50
+        chain = Act(x, Par((chain, Act(x, chain)))) if switch else Act(x, chain)
+        assert normalize_steps(chain) == rewrite_to_fixpoint(chain), n
 
 
 def contractions_by_every_k(prefix, cont):
@@ -113,18 +129,25 @@ def contractions_by_every_k(prefix, cont):
     return out
 
 
+def contracta(eta, cont):
+    """The contracta that `_redex_contractions` finds from cont's component
+    counts."""
+    counts = Counter(parallel_components(cont))
+    return [Par([e] * n) for e, n in _redex_contractions(eta, counts)]
+
+
 def test_redex_contractions_match_every_k_exhaustively():
     from ccspi.generate import ccs_terms_upto, prefix_alphabet
 
     alphabet = prefix_alphabet(("a", "b"))
     for cont in ccs_terms_upto(4, alphabet):
         for eta in alphabet:
-            assert _redex_contractions(eta, cont) == contractions_by_every_k(eta, cont)
+            assert contracta(eta, cont) == contractions_by_every_k(eta, cont)
 
 
 @given(st.builds(Prefix, st.sampled_from("ab"), st.booleans()), term_st(with_vars=True))
 def test_redex_contractions_match_every_k(eta, cont):
-    assert _redex_contractions(eta, cont) == contractions_by_every_k(eta, cont)
+    assert contracta(eta, cont) == contractions_by_every_k(eta, cont)
 
 
 def test_normalize_fixed_points():
