@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from .lts import transitions
 from .terms import NIL, Act, Par, Prefix, Term
 from .pi import (
-    BoundOutAct,
     FreeName,
     FreeOutAct,
-    InputAct,
     PiInput,
     PiNil,
     PiNu,
@@ -71,17 +69,13 @@ def check_erasure_transitions(p: PiTerm, ctx: ErasureContext) -> bool:
     ctx.input_name and a 'b-transition for each output on ctx.output_name
     (free or bound), to the erased targets.  In particular the erasure never
     steps by tau or by any other prefix."""
-    a_pref = Prefix(ctx.input_name)
-    b_pref = Prefix(ctx.output_name, co=True)
+    observed = {(ctx.input_name, False), (ctx.output_name, True)}
     z = fresh_marker(free_names(p))
     expected: set[tuple[Prefix, Term]] = set()
     for action, res in late_transitions(p):
-        match action:
-            case InputAct(chan=c) if c == ctx.input_name:
-                expected.add((a_pref, erase(open_binder(res, z), ctx)))
-            case FreeOutAct(chan=c) if c == ctx.output_name:
-                expected.add((b_pref, erase(res, ctx)))
-            case BoundOutAct(chan=c) if c == ctx.output_name:
-                expected.add((b_pref, erase(open_binder(res, z), ctx)))
+        if (action.name, action.co) in observed:
+            if type(action) is not FreeOutAct:
+                res = open_binder(res, z)
+            expected.add((Prefix(action.name, action.co), erase(res, ctx)))
     return set(transitions(erase(p, ctx))) == expected
 

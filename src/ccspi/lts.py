@@ -7,8 +7,8 @@ leaves nothing else behind.  So a parallel composition is a multiset of
 components, a marking of a net, as in the net semantics of CCS (Degano, De
 Nicola and Montanari, Acta Informatica 26, 1988; Goltz, MFCS 1988).  One
 rule, `_par_moves`, decides which of its distinct components fire and which
-pairs synchronise, a component with its own copy included; what a residual
-is, and what stays put, it leaves to its three readers:
+pairs synchronise, a component with its own copy included, for CCS and pi
+alike; what a residual is, and what stays put, it leaves to its readers:
 
 - `transitions`, the interleaving step over terms: the residuals merge into
   the components that stayed put, already in canonical order
@@ -26,9 +26,12 @@ is, and what stays put, it leaves to its three readers:
   at most one per prefix of p and q, while a suite's universe holds
   thousands (6872 at size 5 on two names), too many digits for one int to
   decode at every step.
+- `pi.late_transitions`, whose components fire as their late moves, with
+  the one silent action `TAU`, and which builds a communication's residual
+  itself.
 
-So the strong and distributed relations, and the oracle, cannot drift
-apart.  None of the steps keeps anything: each call derives the moves
+So the strong, distributed and pi relations, and the oracle, cannot drift
+apart.  None of the CCS steps keeps anything: each call derives the moves
 again, `transitions` in an order fixed by the term alone.
 
 The transition relation consumes one prefix per visible step and two per
@@ -80,10 +83,12 @@ from .terms import (
 
 
 class Tau(Record):
-    """The silent action, interned like `Prefix`: `Tau() is TAU`."""
+    """The silent action of CCS and pi, interned like `Prefix`: `Tau() is
+    TAU`.  It has no name, so `_par_moves` never synchronises it."""
 
     __slots__ = ()
     _rank = 1
+    name = co = None
 
     def __new__(cls) -> Tau:
         return cls._make()
@@ -107,7 +112,7 @@ def d_transitions(t: Term) -> frozenset[DMove]:
     if isinstance(t, Par):
         return frozenset(
             (a, locs[0] if len(locs) == 1 else Par(locs), join_par(Par, rest, ()))
-            for a, rest, locs in _term_moves(t.parts)
+            for a, rest, locs in _term_moves(t.parts, _fires)
         )
     return frozenset((a, loc, NIL) for a, loc in transitions(t))
 
@@ -116,14 +121,18 @@ Move = tuple[Action, Any, tuple[Any, ...]]
 
 
 def _par_moves(comps: list[tuple], pair_rest: Callable[[tuple, tuple], Any]) -> Iterator[Move]:
-    """The one synchronisation rule: every move of a parallel composition
-    whose distinct components, in canonical order, are given as tuples
-    (copies, fires, rest, ...): how many copies it has, its (action,
-    residual) pairs, and the rest when it fires alone.  `pair_rest(c, d)`
-    is the rest when c and d synchronise.  A move is (action, rest,
-    residuals).  What a rest or a residual is, this rule does not look at:
-    terms for `transitions` and `d_transitions`, and for the oracle's step
-    the marking and a delta to add to it.
+    """The one synchronisation rule, of CCS and pi alike: every move of a
+    parallel composition whose distinct components, in canonical order, are
+    given as tuples (copies, fires, rest, ...): how many copies it has, its
+    (action, residual) pairs, and the rest when it fires alone.
+    `pair_rest(c, d)` is the rest when c and d synchronise.  A move is
+    (action, rest, residuals).  Two actions synchronise when they carry one
+    name with opposite polarities, as a `Prefix` and a pi label do; `TAU`
+    carries none.  What a rest or a residual is, this rule does not look
+    at: terms for `transitions` and `d_transitions`, the marking and a
+    delta to add to it for the oracle's step, and for
+    `pi.late_transitions` a component's move itself, from which pi builds
+    the residual of a communication.
 
     The visible moves come component by component, then the
     synchronisations of each component with itself, when it has two
@@ -144,28 +153,31 @@ def _par_moves(comps: list[tuple], pair_rest: Callable[[tuple, tuple], Any]) -> 
                         yield TAU, rest, (r1, r2)
 
 
-def _term_moves(ps: tuple[Term, ...]) -> Iterator[Move]:
+def _term_moves(ps: tuple, fires: Callable[[Any], Iterable[tuple]]) -> Iterator[Move]:
     """The moves of `_par_moves` over the parallel components ps, whose
-    copies stand side by side.  A component's rest is ps without its first
-    copy, so it stays in canonical order; the fourth field of each
-    component is the component itself, which `_term_pair_rest` reads."""
+    copies stand side by side, each distinct component firing as
+    `fires(component)` gives: `_fires` for CCS, `pi._fires` for pi.  A
+    component's rest is ps without its first copy, so it stays in canonical
+    order; the fourth field of each component is the component itself,
+    which `_term_pair_rest` reads."""
     comps = []
     last = None
     for i, p in enumerate(ps):
         if p is last:
             continue
         last = p
-        if type(p) is Act:
-            fires = ((p.prefix, p.cont),)
-        elif type(p) is Sum:
-            fires = [(s.prefix, s.cont) for s in p.parts]
-        else:
-            fires = transitions(p)  # a variable: raises
-        comps.append((ps.count(p), fires, ps[:i] + ps[i + 1 :], p))
+        comps.append((ps.count(p), fires(p), ps[:i] + ps[i + 1 :], p))
     return _par_moves(comps, _term_pair_rest)
 
 
-def _term_pair_rest(c: tuple, d: tuple) -> tuple[Term, ...]:
+def _fires(p: Term) -> tuple[tuple[Prefix, Term], ...]:
+    """A CCS component's (prefix, continuation) pairs, read off the node."""
+    if type(p) is Act:
+        return ((p.prefix, p.cont),)
+    return transitions(p)  # a sum's summands; a variable raises
+
+
+def _term_pair_rest(c: tuple, d: tuple) -> tuple:
     """c's rest without the first copy of d's component."""
     rest = c[2]
     j = rest.index(d[3])
@@ -183,7 +195,7 @@ def transitions(t: Term) -> tuple[tuple[Action, Term], ...]:
     (`join_par`).  Nothing is kept: every call derives the tuple again."""
     match t:
         case Par(parts=ps):
-            joined = [(a, join_par(Par, rest, locs)) for a, rest, locs in _term_moves(ps)]
+            joined = [(a, join_par(Par, rest, locs)) for a, rest, locs in _term_moves(ps, _fires)]
             return tuple(dict.fromkeys(joined))
         case Act(prefix=p, cont=c):
             return ((p, c),)

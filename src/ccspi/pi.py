@@ -7,12 +7,13 @@ construction.  Free names stay as names.  Terms share the interned node core
 of `terms`, each class with its own intern table, which likewise lives as
 long as the process: structurally equal terms are one object.  The name
 references `FreeName` and `BoundName`, and the transition labels
-`InputAct`, `FreeOutAct`, `BoundOutAct` and `PiTauAct`, are interned
-records too (`terms.Record`): equal labels are one object and hash by
-identity.  The constructors keep terms canonical: parallel composition is a
-flattened sorted multiset without Nil components (`terms.flat_par`, in the
-one order of `terms.sort_key`), and a restriction whose name never occurs
-is dropped.
+`InputAct`, `FreeOutAct` and `BoundOutAct`, are interned records too
+(`terms.Record`): equal labels are one object and hash by identity.  A
+label carries a channel `name` and a polarity `co`, as a `Prefix` does
+(outputs are `co`), and the silent action is the one of CCS, `lts.TAU`.
+The constructors keep terms canonical: parallel composition is a flattened
+sorted multiset without Nil components (`terms.flat_par`, in the one order
+of `terms.sort_key`), and a restriction whose name never occurs is dropped.
 
 Each node stores its dangling indices (the indices it references without
 binding them, counted from its top) as an int bit set, bit i set when index
@@ -31,9 +32,12 @@ calls it when each suite ends, `cli.main` when each command ends.
 
 Transition residuals for input and bound-output actions are returned as
 bodies with the transmitted name still abstracted (dangling index 0); the
-bisimulation games decide how to instantiate them.  A successor of a
-parallel composition merges the residuals into the components that stayed
-put, which are already in canonical order (`terms.join_par`).
+bisimulation games decide how to instantiate them.  A parallel composition
+moves by the synchronisation rule of CCS, `lts._par_moves`, since COM and
+CLOSE (Milner, Parrow and Walker, 1992) are CCS synchronisation with a name
+passed or extruded; only a communication's residual is pi's own
+(`_successor`).  A successor merges the residuals into the components that
+stayed put, which are already in canonical order (`terms.join_par`).
 `late_transitions` stores a node's moves on the node the first time it is
 asked for them, as a tuple of distinct moves in an order fixed by the term
 alone, so they live as long as the node, as the intern table does, and no
@@ -57,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .lts import refine_partition
+from .lts import TAU, Tau, _term_moves, refine_partition
 from .terms import Node, Record, flat_par, join_par, sort_key
 
 
@@ -332,57 +336,66 @@ def fresh_marker(avoid: frozenset[str] | set[str]) -> str:
 
 
 class InputAct(Record):
-    __slots__ = _fields = ("chan",)
+    __slots__ = _fields = ("name",)
+    co = False
 
-    def __new__(cls, chan: str) -> InputAct:
-        return cls._make(chan)
+    def __new__(cls, name: str) -> InputAct:
+        return cls._make(name)
 
     def __str__(self) -> str:
-        return f"{self.chan}(.)"
+        return f"{self.name}(.)"
 
 
 class FreeOutAct(Record):
-    __slots__ = _fields = ("chan", "payload")
+    __slots__ = _fields = ("name", "payload")
     _rank = 1
+    co = True
 
-    def __new__(cls, chan: str, payload: str) -> FreeOutAct:
-        return cls._make(chan, payload)
+    def __new__(cls, name: str, payload: str) -> FreeOutAct:
+        return cls._make(name, payload)
 
     def __str__(self) -> str:
-        return f"'{self.chan}<{self.payload}>"
+        return f"'{self.name}<{self.payload}>"
 
 
 class BoundOutAct(Record):
-    __slots__ = _fields = ("chan",)
+    __slots__ = _fields = ("name",)
     _rank = 2
+    co = True
 
-    def __new__(cls, chan: str) -> BoundOutAct:
-        return cls._make(chan)
-
-    def __str__(self) -> str:
-        return f"'{self.chan}(.)"
-
-
-class PiTauAct(Record):
-    __slots__ = ()
-    _rank = 3
-
-    def __new__(cls) -> PiTauAct:
-        return cls._make()
+    def __new__(cls, name: str) -> BoundOutAct:
+        return cls._make(name)
 
     def __str__(self) -> str:
-        return "tau"
+        return f"'{self.name}(.)"
 
 
-PI_TAU = PiTauAct()
-
-PiAction = InputAct | FreeOutAct | BoundOutAct | PiTauAct
+PiAction = InputAct | FreeOutAct | BoundOutAct | Tau
 
 
 # writes a node's `_moves` slot past the immutability guard, as `_derive`
 # fills `_size`; only `late_transitions` writes it, on its first call for the
 # node
 _store_moves = PiTerm._moves.__set__
+
+
+def _fires(p: PiTerm) -> list[tuple[PiAction, tuple[PiAction, PiTerm]]]:
+    """p's moves as `lts._term_moves` takes them: (label, move) pairs, since
+    a communication's residual reads both labels."""
+    return [(m[0], m) for m in late_transitions(p)]
+
+
+def _successor(rest: tuple[PiTerm, ...], ms: tuple) -> PiTerm:
+    """The successor of a move of `lts._par_moves`, given the components'
+    moves ms.  In a communication, a free output's payload instantiates the
+    input's residual (COM), and a bound output's name stays bound, by a
+    restriction over both residuals and the rest (CLOSE)."""
+    if len(ms) == 1:
+        return join_par(PiPar, rest, (ms[0][1],))
+    (_, ri), (out, ro) = ms if ms[1][0].co else ms[::-1]
+    if type(out) is FreeOutAct:
+        return join_par(PiPar, rest, (open_binder(ri, out.payload), ro))
+    return PiNu(join_par(PiPar, rest, (ri, ro)))
 
 
 def late_transitions(t: PiTerm) -> tuple[tuple[PiAction, PiTerm], ...]:
@@ -392,11 +405,12 @@ def late_transitions(t: PiTerm) -> tuple[tuple[PiAction, PiTerm], ...]:
     Residuals of InputAct and BoundOutAct are open at index 0 (the received
     or extruded name); FreeOutAct and tau residuals are closed.  The order
     is fixed by the term alone, so it is the same in every process: a
-    parallel composition lists its components' moves in canonical component
-    order, then the communications of each ordered pair of components, and
-    a restriction follows the moves of its opened body.  The tuple is stored
-    on the node the first time and returned on every later call; two
-    threads that race on a node compute and store equal tuples."""
+    parallel composition lists its moves in the order of `lts._par_moves`
+    (its distinct components' moves, then the communications of each with
+    its copy and each later one), and a restriction follows the moves of its
+    opened body.  The tuple is stored on the node the first time and
+    returned on every later call; two threads that race on a node compute
+    and store equal tuples."""
     try:
         return t._moves
     except AttributeError:
@@ -409,37 +423,16 @@ def late_transitions(t: PiTerm) -> tuple[tuple[PiAction, PiTerm], ...]:
         case PiOutput(chan=FreeName(name=a), payload=FreeName(name=c), body=b):
             moves = ((FreeOutAct(a, c), b),)
         case PiPar(parts=ps):
-            out: dict[tuple[PiAction, PiTerm], None] = {}
-            part_ts = [late_transitions(p) for p in ps]
-            for i, ts in enumerate(part_ts):
-                rest = ps[:i] + ps[i + 1 :]
-                for a, res in ts:
-                    out[(a, join_par(PiPar, rest, (res,)))] = None
-            for i in range(len(ps)):
-                for j in range(len(ps)):
-                    if i == j:
-                        continue
-                    for ai, ri in part_ts[i]:
-                        if not isinstance(ai, InputAct):
-                            continue
-                        for aj, rj in part_ts[j]:
-                            if isinstance(aj, (InputAct, PiTauAct)) or aj.chan != ai.chan:
-                                continue
-                            rest = tuple(p for k, p in enumerate(ps) if k not in (i, j))
-                            if isinstance(aj, FreeOutAct):
-                                res = join_par(PiPar, rest, (open_binder(ri, aj.payload), rj))
-                            else:
-                                res = PiNu(join_par(PiPar, rest, (ri, rj)))
-                            out[(PI_TAU, res)] = None
-            moves = tuple(out)
+            fired = _term_moves(ps, _fires)
+            moves = tuple(dict.fromkeys([(a, _successor(rest, ms)) for a, rest, ms in fired]))
         case PiNu(body=b):
             m = fresh_marker(free_names(b))
-            out = {}
+            out: dict[tuple[PiAction, PiTerm], None] = {}
             for a, res in late_transitions(open_binder(b, m)):
-                if a is not PI_TAU and a.chan == m:
+                if a.name == m:
                     continue  # no move on the restricted name reaches the outside
                 if type(a) is FreeOutAct and a.payload == m:
-                    out[(BoundOutAct(a.chan), close_binder(res, m))] = None
+                    out[(BoundOutAct(a.name), close_binder(res, m))] = None
                 else:
                     out[(a, PiNu(close_binder(res, m)))] = None
             moves = tuple(out)
@@ -502,9 +495,9 @@ def _pi_bisim(p: PiTerm, q: PiTerm, mode: str) -> bool:
         """The challenge's names, as the rounds that one response must win:
         all the names in one round, save for an early input, which has a
         round per name.  None is no name: the residual is played as it is."""
-        if isinstance(a, (FreeOutAct, PiTauAct)):
+        if a is TAU or type(a) is FreeOutAct:
             return [(None,)]
-        if isinstance(a, BoundOutAct) or mode == "ground":
+        if a.co or mode == "ground":
             return [(fresh,)]
         return [(n,) for n in every] if mode == "early" else [every]
 
@@ -587,9 +580,9 @@ def pi_step(frees: Iterable[str], mode: str) -> Callable[[PiState], list[tuple]]
         t, d = state
         out: list[tuple] = []
         for a, res in late_transitions(t):
-            if isinstance(a, (FreeOutAct, PiTauAct)):
+            if a is TAU or type(a) is FreeOutAct:
                 out.append((a, (res, d)))
-            elif isinstance(a, BoundOutAct) or mode == "ground":
+            elif a.co or mode == "ground":
                 out.append((a, (open_binder(res, f"#{d}"), d + 1)))
             elif mode == "late":
                 out.append((a, (res, d, "all")))
@@ -642,17 +635,15 @@ def classify_transitions(p: PiTerm, sigma: Mapping[str, str]) -> list[Classified
     out: list[ClassifiedTransition] = []
 
     def subst_action(a: PiAction) -> PiAction:
-        match a:
-            case InputAct(chan=c):
-                return InputAct(sigma.get(c, c))
-            case FreeOutAct(chan=c, payload=v):
-                return FreeOutAct(sigma.get(c, c), sigma.get(v, v))
-            case BoundOutAct(chan=c):
-                return BoundOutAct(sigma.get(c, c))
-        return a
+        if a is TAU:
+            return a
+        c = sigma.get(a.name, a.name)
+        if type(a) is FreeOutAct:
+            return FreeOutAct(c, sigma.get(a.payload, a.payload))
+        return type(a)(c)
 
     for act_s, res_s in late_transitions(ps):
-        tau = act_s is PI_TAU
+        tau = act_s is TAU
         if any(subst_action(a) == act_s and pi_substitute(res, sigma) == res_s for a, res in tp):
             tag = "2a" if tau else "1"
         else:
@@ -673,7 +664,7 @@ def _match_created_tau(
     for a, res in tp:
         if isinstance(a, FreeOutAct):
             for a2, res2 in late_transitions(res):
-                if isinstance(a2, InputAct) and identified(a2.chan, a.chan):
+                if type(a2) is InputAct and identified(a2.name, a.name):
                     cand = pi_substitute(open_binder(res2, a.payload), sigma)
                     if ground_bisim(cand, res_s):
                         return "2b"
@@ -682,7 +673,7 @@ def _match_created_tau(
             m = fresh_marker(free_names(res) | set(sigma) | set(sigma.values()))
             mid = open_binder(res, m)
             for a2, res2 in late_transitions(mid):
-                if isinstance(a2, InputAct) and identified(a2.chan, a.chan):
+                if type(a2) is InputAct and identified(a2.name, a.name):
                     cand = pi_substitute(PiNu(close_binder(open_binder(res2, m), m)), sigma)
                     if ground_bisim(cand, res_s):
                         return "2c"

@@ -4,10 +4,10 @@ plays them by one challenge rule.  It reads the moves and renamings of
 `ccspi.pi` and keeps its own memo, `MEMO`, keyed as `pi._BISIM_MEMO` is, so
 a test can compare the positions both games expanded."""
 
+from ccspi.lts import Tau
 from ccspi.pi import (
     BoundOutAct,
     FreeOutAct,
-    PiTauAct,
     PiTerm,
     free_names,
     fresh_marker,
@@ -53,7 +53,7 @@ def pi_bisim(p: PiTerm, q: PiTerm, mode: str) -> bool:
         for a, residuals in challenger.items():
             cands = responder[a]
             for res in residuals:
-                if isinstance(a, (FreeOutAct, PiTauAct)):
+                if isinstance(a, (FreeOutAct, Tau)):
                     if not any(pi_bisim(res, r2, mode) for r2 in cands):
                         return False
                 elif isinstance(a, BoundOutAct):

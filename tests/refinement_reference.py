@@ -4,8 +4,8 @@ the previous round's blocks, until a round splits no block.  Also the strong
 oracle over terms, which the oracle over markings in `ccspi.lts` must agree
 with."""
 
-from ccspi.lts import _signature, explore, refine_partition, transitions
-from ccspi.pi import BoundOutAct, FreeOutAct, PiTauAct, late_transitions, open_binder
+from ccspi.lts import Tau, _signature, explore, refine_partition, transitions
+from ccspi.pi import BoundOutAct, FreeOutAct, late_transitions, open_binder
 
 
 def ks_rounds(states, sig_fn):
@@ -84,7 +84,7 @@ def flat_pi_step(frees, mode):
         t, d = state
         out = []
         for a, res in late_transitions(t):
-            if isinstance(a, (FreeOutAct, PiTauAct)):
+            if isinstance(a, (FreeOutAct, Tau)):
                 out.append((a, (res, d)))
             elif isinstance(a, BoundOutAct) or mode == "ground":
                 out.append((a, (open_binder(res, f"#{d}"), d + 1)))

@@ -118,7 +118,7 @@ def matcher_ignores_copies(mp: pytest.MonkeyPatch) -> None:
 def no_bound_output_communication(mp: pytest.MonkeyPatch) -> None:
     """A parallel composition loses the taus by which a component receives a
     name that another extrudes."""
-    from ccspi import pi
+    from ccspi import lts, pi
 
     late = pi.late_transitions
 
@@ -138,9 +138,9 @@ def no_bound_output_communication(mp: pytest.MonkeyPatch) -> None:
                     for a, res in faulty(ps[i])
                     if isinstance(a, pi.InputAct)
                     for b, res2 in faulty(ps[j])
-                    if b == pi.BoundOutAct(a.chan)
+                    if b == pi.BoundOutAct(a.name)
                 }
-            moves = tuple(m for m in moves if m[0] is not pi.PI_TAU or m[1] not in extruded)
+            moves = tuple(m for m in moves if m[0] is not lts.TAU or m[1] not in extruded)
             pi._store_moves(t, moves)
         return moves
 
@@ -338,6 +338,55 @@ def test_the_fault_flips_the_oracle_on_its_witness(name, monkeypatch):
     assert not bisimilar_oracle(p, q)
     {**CAUGHT, **MISSED}[name].patch(monkeypatch)
     assert bisimilar_oracle(p, q)
+
+
+# a pi composition that loses a communication under each synchronisation
+# fault, since pi's parallel step reads the same rule, with its number of
+# moves without and with the fault: under the second, the two copies no
+# longer extrude p to each other
+PI_WITNESSES = {
+    "no-synchronisation": ("a(x).0 | a<b>.0", 3, 2),
+    "identical-neighbours-never-synchronise": (
+        "(nu p)(a(x).0 | a<p>.0) | (nu p)(a(x).0 | a<p>.0)",
+        4,
+        3,
+    ),
+}
+
+# the moves of a pi term under a fault; pi nodes store their moves, so it
+# runs in a fresh interpreter, in which no node has them yet
+PI_MOVES_SCRIPT = """
+import sys
+import pytest
+from test_faults import CAUGHT, MISSED
+from ccspi.pi import late_transitions
+from ccspi.syntax import parse_pi
+
+name, src = sys.argv[1:]
+with pytest.MonkeyPatch.context() as mp:
+    {**CAUGHT, **MISSED}[name].patch(mp)
+    print(len(late_transitions(parse_pi(src))))
+"""
+
+
+@pytest.mark.parametrize("name", list(PI_WITNESSES))
+def test_the_fault_loses_a_pi_communication_on_its_witness(name):
+    from ccspi.pi import late_transitions
+    from ccspi.syntax import parse_pi
+
+    src, moves, faulty_moves = PI_WITNESSES[name]
+    assert len(late_transitions(parse_pi(src))) == moves
+    package = os.path.dirname(os.path.dirname(ccspi.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", PI_MOVES_SCRIPT, name, src],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((package, here))),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert int(done.stdout) == faulty_moves
 
 
 @pytest.mark.parametrize("name", list(EQUIVALENT))

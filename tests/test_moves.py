@@ -29,6 +29,7 @@ from ccspi.pi import (
     late_transitions,
     open_binder,
 )
+from ccspi.syntax import parse_pi
 from ccspi.terms import Act, Nil, Par, Sum, Term, Var, join_par
 from test_order import _pi_subterms
 from transitions_reference import distinct
@@ -62,9 +63,22 @@ def _random_pi_subterms():
     return [t for t in _pi_subterms(sampled) if not t._dangling]
 
 
+# parallel compositions with copies of one component; in the first and
+# the last, two copies communicate with each other, which takes a
+# restriction over both polarities in each, so 4 prefixes and 2
+# restrictions, more than any universe above holds
+COPIES = [
+    "(nu p)(a(x).0 | a<p>.0) | (nu p)(a(x).0 | a<p>.0)",
+    "a(x).0 | a(x).0 | a<b>.0 | a<b>.0",
+    "(nu p)(a(x).x<b>.0 | a<p>.p(y).0) | (nu p)(a(x).x<b>.0 | a<p>.p(y).0)",
+]
+
 PI_UNIVERSES = {
     "pi-2-prefixes-2-nus-abc": pi_terms_upto(2, 2, ("a", "b", "c")),
     "random-pi-subterms": _random_pi_subterms(),
+    "copies-that-communicate": [
+        t for t in _pi_subterms([parse_pi(s) for s in COPIES]) if not t._dangling
+    ],
 }
 
 
@@ -91,7 +105,7 @@ def test_join_par_is_the_constructor():
     for universe in CCS_UNIVERSES.values():
         for t in universe:
             if isinstance(t, Par):
-                for _, rest, locs in _term_moves(t.parts):
+                for _, rest, locs in _term_moves(t.parts, transitions):
                     check(Par, rest, locs)
                     check(Par, rest, ())
     for universe in PI_UNIVERSES.values():
@@ -133,6 +147,7 @@ for src in ["(a.b.0 + 'a.0 + c.0) | 'a.0 | a.0 | ('c.0 + b.0)"]:
 for src in [
     "a(x).x<b>.0 | (nu p)(a<p>.p(y).0) | a<c>.0 | b(z).0",
     "(nu p)(a<p>.0 | p(x).0 | b<p>.p<a>.0) | a(y).y(z).0",
+    "(nu p)(a(x).x<b>.0 | a<p>.p(y).0) | (nu p)(a(x).x<b>.0 | a<p>.p(y).0)",
 ]:
     t = parse_pi(src)
     for mode in ("ground", "late", "early"):
@@ -154,5 +169,5 @@ def test_move_order_does_not_depend_on_the_hash_seed():
             timeout=60,
         )
         outputs.append(done.stdout)
-    assert outputs[0].count("\n") == 9
+    assert outputs[0].count("\n") == 12
     assert outputs[0] == outputs[1]

@@ -12,9 +12,9 @@ from canonical_form import is_canonical
 from ccspi.generate import pi_terms_upto, random_pi
 import game_reference
 import pi_reference
+from ccspi.lts import TAU, Tau
 from ccspi.pi import (
     PI_NIL,
-    PI_TAU,
     BoundName,
     BoundOutAct,
     FreeName,
@@ -24,7 +24,6 @@ from ccspi.pi import (
     PiNu,
     PiOutput,
     PiPar,
-    PiTauAct,
     classify_transitions,
     clear_bisim_memo,
     close_binder,
@@ -242,12 +241,12 @@ def test_dangling_matches_a_walk_of_the_references():
 def test_labels_are_interned():
     assert InputAct("a") is InputAct("a")
     assert FreeOutAct("a", "b") is FreeOutAct("a", "b")
-    assert BoundOutAct("a") is BoundOutAct("a") and PiTauAct() is PI_TAU
+    assert BoundOutAct("a") is BoundOutAct("a") and Tau() is TAU
     # equal fields in different classes stay different labels
     assert InputAct("a") is not BoundOutAct("a")
     assert InputAct("a") is not FreeName("a")
     assert str(InputAct("a")) == "a(.)" and str(BoundOutAct("a")) == "'a(.)"
-    assert str(FreeOutAct("a", "b")) == "'a<b>" and str(PI_TAU) == "tau"
+    assert str(FreeOutAct("a", "b")) == "'a<b>" and str(TAU) == "tau"
 
 
 def test_nodes_are_immutable():
@@ -289,14 +288,14 @@ def test_restricted_channel_cannot_fire():
 
 def test_communication_instantiates_receiver():
     t = parse_pi("a(x).x<b>.0 | (nu p)(a<p>.p(y).0)")
-    taus = [res for action, res in late_transitions(t) if isinstance(action, PiTauAct)]
+    taus = [res for action, res in late_transitions(t) if isinstance(action, Tau)]
     # scope of p closes back over both continuations
     assert taus == [parse_pi("(nu p)(p<b>.0 | p(y).0)")]
 
 
 def test_tau_on_free_channel():
     t = parse_pi("a(x).0 | a<b>.0")
-    residues = {res for action, res in late_transitions(t) if isinstance(action, PiTauAct)}
+    residues = {res for action, res in late_transitions(t) if isinstance(action, Tau)}
     assert residues == {PI_NIL}
 
 
@@ -305,7 +304,7 @@ def test_tau_on_free_channel():
 def test_transitions_shrink_prefix_count(t):
     for action, res in late_transitions(t):
         probe = open_binder(res, "#z") if res._dangling else res
-        expected = 2 if isinstance(action, PiTauAct) else 1
+        expected = 2 if isinstance(action, Tau) else 1
         assert pi_size(probe) == pi_size(t) - expected
 
 
@@ -492,18 +491,18 @@ def test_classify_direct_images():
 
 def test_classify_preexisting_tau():
     got = _cases("a(x).0 | a<c>.0", {"c": "a"})
-    assert ("PiTauAct", "2a") in got
+    assert ("Tau", "2a") in got
 
 
 def test_classify_created_tau_free_output():
     got = _cases("a<c>.0 | b(y).0", {"b": "a"})
-    assert ("PiTauAct", "2b") in got
+    assert ("Tau", "2b") in got
     assert ("FreeOutAct", "1") in got
 
 
 def test_classify_created_tau_bound_output():
     got = _cases("(nu q)(a<q>.0) | b(y).0", {"b": "a"})
-    assert ("PiTauAct", "2c") in got
+    assert ("Tau", "2c") in got
 
 
 def test_classify_total():

@@ -11,7 +11,6 @@ from typing import Iterator
 
 from ccspi.lts import TAU, Tau
 from ccspi.pi import (
-    PI_TAU,
     BoundOutAct,
     FreeName,
     FreeOutAct,
@@ -21,7 +20,6 @@ from ccspi.pi import (
     PiNu,
     PiOutput,
     PiPar,
-    PiTauAct,
     close_binder,
     fresh_marker,
     free_names,
@@ -151,30 +149,30 @@ def late_transitions(t) -> frozenset:
                         if not isinstance(ai, InputAct):
                             continue
                         for aj, rj in part_ts[j]:
-                            if isinstance(aj, (InputAct, PiTauAct)) or aj.chan != ai.chan:
+                            if isinstance(aj, (InputAct, Tau)) or aj.name != ai.name:
                                 continue
                             rest = tuple(p for k, p in enumerate(ps) if k not in (i, j))
                             if isinstance(aj, FreeOutAct):
-                                out.add((PI_TAU, PiPar((open_binder(ri, aj.payload), rj) + rest)))
+                                out.add((TAU, PiPar((open_binder(ri, aj.payload), rj) + rest)))
                             else:
-                                out.add((PI_TAU, PiNu(PiPar((ri, rj) + rest))))
+                                out.add((TAU, PiNu(PiPar((ri, rj) + rest))))
             return frozenset(out)
         case PiNu(body=b):
             m = fresh_marker(free_names(b))
             out = set()
             for a, res in late_transitions(open_binder(b, m)):
                 match a:
-                    case InputAct(chan=c) | BoundOutAct(chan=c):
+                    case InputAct(name=c) | BoundOutAct(name=c):
                         if c != m:
                             out.add((a, PiNu(close_binder(res, m))))
-                    case FreeOutAct(chan=c, payload=pay):
+                    case FreeOutAct(name=c, payload=pay):
                         if c == m:
                             continue
                         if pay == m:
                             out.add((BoundOutAct(c), close_binder(res, m)))
                         else:
                             out.add((a, PiNu(close_binder(res, m))))
-                    case PiTauAct():
+                    case Tau():
                         out.add((a, PiNu(close_binder(res, m))))
             return frozenset(out)
     raise TypeError(f"transitions need a closed canonical term: {t!r}")
