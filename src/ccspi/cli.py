@@ -7,7 +7,7 @@ suite passed), 1 when it does not, 2 on usage, parse or input errors
 `bisim` reads every equivalence off one table, `_ROUTES`: (calculus, style)
 -> {route: decider}, a calculus's first style its default.  `--method`
 takes a pair's routes.  Only sum-free strong bisimilarity has two, the
-normal-form decision `norm` and the partition-refinement oracle `oracle`;
+normal-form decision `norm` and the oracle `oracle`, a bisimulation game;
 there `both`, the default, runs the two side by side, reports each as
 `method_<route>`, and treats a disagreement as a hard error.  `--depth` and
 the ground-term check apply where the oracle is `bisimilar_oracle`.  `dsim`
@@ -142,7 +142,7 @@ def cmd_bisim(args) -> int:
     depth = None  # the distinguishing depth, once the oracle has computed it
     for route in chosen:
         if args.depth and routes[route] is bisimilar_oracle:
-            # one exploration gives the verdict and the depth: no round
+            # one game gives the verdict and the depth: no round
             # separates bisimilar terms
             depth = distinguishing_depth(p, q)
             answers[route] = depth is None

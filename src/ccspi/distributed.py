@@ -1,26 +1,27 @@
 """Distributed bisimilarity for CCS with guarded sums.
 
-Distributed bisimilarity refines over the distributed transitions of
-`lts.d_transitions`, requiring both the local and the concurrent residual
-to match.  It uses the one refinement pass and the one signature of `lts`
-(`refine_partition`), whose moves are (label, successor) pairs, with
-`d_step` as the step: a term moves by each action to the pair state
-(local, concurrent), and a pair state moves by 0 to its local part and by 1
-to its concurrent part.  Two pair states are bisimilar exactly when both of
-their parts are, and no term shares a block with a pair state, whose labels
-are no actions.  A move whose concurrent part is 0 goes to its local part
-itself: a pair state always has its 0-move and a non-nil closed term always
-moves, so (local, 0) could only match another (local', 0) with local and
-local' bisimilar, which is what the local parts say alone.  On guarded-sum
-terms distributed bisimilarity coincides with structural congruence and,
-unlike strong bisimilarity, is closed under name substitutions.
+Distributed bisimilarity is bisimilarity over the distributed transitions
+of `lts.d_transitions`: both the local and the concurrent residual must
+match.  Pairs are decided by the game of `lts` (`bisim_game`, for `dsim`),
+universes by its one refinement pass (`refine_partition`, for
+`dsim_blocks`), both over (label, successor) moves with `d_step` as the
+step: a term moves by each action to the pair state (local, concurrent),
+and a pair state moves by 0 to its local part and by 1 to its concurrent
+part.  Two pair states are bisimilar exactly when both of their parts are,
+and no term shares a block with a pair state, whose labels are no actions.
+A move whose concurrent part is 0 goes to its local part itself: a pair
+state always has its 0-move and a non-nil closed term always moves, so
+(local, 0) could only match another (local', 0) with local and local'
+bisimilar, which is what the local parts say alone.  On guarded-sum terms
+distributed bisimilarity coincides with structural congruence and, unlike
+strong bisimilarity, is closed under name substitutions.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .lts import d_transitions, refine_partition
+from .lts import bisim_game, d_transitions, refine_partition
 from .terms import NIL, Term
 
 
@@ -40,5 +41,5 @@ def dsim_blocks(roots: Iterable[Term]) -> dict:
 
 
 def dsim(p: Term, q: Term) -> bool:
-    block = dsim_blocks([p, q])
-    return block[p] == block[q]
+    """Distributed bisimilarity of p and q, by the game over `d_step`."""
+    return bisim_game(p, q, d_step) is None

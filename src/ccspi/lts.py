@@ -1,5 +1,5 @@
-"""Labelled transition semantics for CCS terms and the strong bisimilarity
-oracle computed by partition refinement.
+"""Labelled transition semantics for CCS terms, the strong bisimilarity
+oracle, played as a game on the fly, and the one partition refinement.
 
 A component of a canonical parallel composition is a prefix or a guarded
 sum: it fires as its (prefix, continuation) pairs, read off the node, and
@@ -19,13 +19,13 @@ alike; what a residual is, and what stays put, it leaves to its readers:
   stayed put), as a flat (action, local, concurrent) tuple, for
   `distributed` and `mirrored`.
 - the marking step of `_net`, for `bisimilar_oracle` and
-  `distinguishing_depth` alone: a joint state of p and q is one int of
-  component counts, and a move adds each residual's precomputed delta to
-  it, so no joint state is built or interned as a term.  Markings serve
-  only a pair: their digits are the components that p and q can ever hold,
-  at most one per prefix of p and q, while a suite's universe holds
-  thousands (6872 at size 5 on two names), too many digits for one int to
-  decode at every step.
+  `distinguishing_depth` alone: a state of p or q is one int of component
+  counts, and a move adds each residual's precomputed delta to it, so no
+  state is built or interned as a term.  Markings serve only a pair: their
+  digits are the components that p and q can ever hold, at most one per
+  prefix of p and q, while a suite's universe holds thousands (6872 at
+  size 5 on two names), too many digits for one int to decode at every
+  step.
 - `pi.late_transitions`, whose components fire as their late moves, with
   the one silent action `TAU`, and which builds a communication's residual
   itself.
@@ -37,34 +37,44 @@ again, `transitions` in an order fixed by the term alone.
 The transition relation consumes one prefix per visible step and two per
 synchronisation, so every transition strictly decreases term size: reachable
 state spaces are finite DAGs.  That is why bisimilarity needs no iterated
-refinement here.  Two states are bisimilar exactly when their sets of
-(action, successor class) pairs agree, so a state's class can be decided as
-soon as its successors' classes are, from classes that are already final
-(the well-founded view of Dovier, Piazza and Policriti, "An efficient
-algorithm for computing bisimulation equivalence", TCS 2004).
+refinement here, and why the game's positions hold no cycle.  Two states
+are bisimilar exactly when their sets of (action, successor class) pairs
+agree, so a state's class can be decided as soon as its successors'
+classes are, from classes that are already final (the well-founded view of
+Dovier, Piazza and Policriti, "An efficient algorithm for computing
+bisimulation equivalence", TCS 2004).
 
-Strong, distributed and pi bisimilarity share one refinement pass and one
-signature over one move shape: a step maps a state to its moves, each one
+Pairs are decided by the game, universes by the one refinement pass, and
+both read one move shape: a step maps a state to its moves, each one
 (label, successor) pair, as in a textbook labelled transition system.
-`refine_partition` walks the states reachable from its roots depth first,
-and signs a state by its set of moves with each successor replaced by its
-block once every successor has one; it then lets the state's moves go, so
-only the states on the current path hold theirs.  That set is kept as
-numbers: each distinct (label, block) gets a number, once per call, and a
-signature is the sorted tuple of its moves' numbers.  Only the step
-differs: the marking step or `transitions` for strong bisimilarity, and
-`distributed.d_step` and `pi.pi_step`, which each build a move with several
-successors as a state of its own whose moves lead to them one by one.
-`distinguishing_depth` reads its rounds off that one pass, whose numberings
-hold the quotient.  `explore`, which tabulates the moves of every reachable
-state, now serves only the reduction graph of the confluence-termination
+
+- `bisim_game` plays the bisimulation game from one pair of states on the
+  fly: it steps only the states that the positions it plays need, keeps
+  each position's value until the call ends, and stops a challenge at the
+  first response that wins.  `bisimilar_oracle` plays it over the marking
+  step and `distributed.dsim` over `distributed.d_step`;
+  `distinguishing_depth` is its exact value, the least number of rounds in
+  which the attacker wins.
+- `refine_partition` gives the classes of every state reachable from its
+  roots, for the suites' universes, `distributed.dsim_blocks` and
+  `pi.pi_blocks`.  It walks those states depth first, and signs a state by
+  its set of moves with each successor replaced by its block once every
+  successor has one; it then lets the state's moves go, so only the states
+  on the current path hold theirs.  That set is kept as numbers: each
+  distinct (label, block) gets a number, once per call, and a signature is
+  the sorted tuple of its moves' numbers.
+
+Only the step differs: the marking step or `transitions` for strong
+bisimilarity, and `distributed.d_step` and `pi.pi_step`, which each build a
+move with several successors as a state of its own whose moves lead to
+them one by one.  `explore`, which tabulates the moves of every reachable
+state, serves only the reduction graph of the confluence-termination
 suite, and tests.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Generator, Iterable, Iterator
 
 from .terms import (
     NIL,
@@ -300,14 +310,6 @@ def refine_partition(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) ->
     so only the states on the current path keep theirs.  A state met again
     while it is still being expanded closes a cycle, and raises ValueError:
     the state space is then not well founded."""
-    return _refine(roots, step)[0]
-
-
-def _refine(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> tuple[dict, dict, dict]:
-    """The pass of `refine_partition`, with its two numberings: the blocks
-    {state: block}, `ids` {signature: block} and `pairs` {(label, block):
-    number}.  Inverted, the two numberings are the quotient: block b's
-    moves are the (label, block) pairs that its signature numbers."""
     block: dict = {}
     ids: dict = {}
     pairs: dict = {}
@@ -332,56 +334,126 @@ def _refine(roots: Iterable, step: Callable[[Any], Iterable[tuple]]) -> tuple[di
                     continue
             todo.pop()
             block[s] = ids.setdefault(_signature(moves, block, pairs), len(ids))
-    return block, ids, pairs
+    return block
+
+
+# --------------------------------------------------------------------------
+# the bisimulation game, played on the fly
+
+_OPEN = object()  # the value of a position whose play has not ended
+
+
+def _challenges(gs: dict, gt: dict) -> list[list[tuple]]:
+    """The challenges of a position (s, t) whose states' moves, grouped by
+    label, are gs and gt: each move of either side, as the positions that
+    the other side's moves with its label lead to, s's side first.  When
+    the label sets differ, some move has no response, and one challenge
+    with none stands for them all."""
+    if gs.keys() != gt.keys():
+        return [[]]
+    return [[(s1, t1) for t1 in gt[a]] for a, ss in gs.items() for s1 in ss] + [
+        [(s1, t1) for s1 in gs[a]] for a, ts in gt.items() for t1 in ts
+    ]
+
+
+def _play(gs: dict, gt: dict, exact: bool) -> Generator[tuple, int | None, int | None]:
+    """The play of one position: yields each response's position, is sent
+    its value, and returns the position's own.  A challenge is answered by
+    a response that reaches one state on both sides, else by the first
+    response that wins (value None); when none does, the challenge wins in
+    one round more than the response that holds out longest.  The position
+    is lost in one round more than the first challenge that wins, or, when
+    exact, the least: a challenge is then dropped once a response holds out
+    as long as the best one found, and a best of at most 1 ends the play,
+    since only a challenge with no response wins sooner, and it comes
+    alone."""
+    best = None
+    for challenge in _challenges(gs, gt):
+        if any(s1 == t1 for s1, t1 in challenge):
+            continue
+        worst = 0
+        for r in challenge:
+            v = yield r
+            if v is None or (best is not None and v >= best):
+                break
+            worst = max(worst, v)
+        else:
+            best = worst
+            if not exact or best <= 1:
+                break
+    return None if best is None else best + 1
+
+
+def bisim_game(
+    p: Any, q: Any, step: Callable[[Any], Iterable[tuple]], exact: bool = False
+) -> int | None:
+    """The bisimulation game from the position (p, q) over the (label,
+    successor) moves of `step`, played on the fly (Fernandez and Mounier,
+    CAV 1991): None when p and q are bisimilar, else a number of rounds in
+    which the attacker wins, the least one, the game's value (Stirling,
+    Logic J. IGPL 7(1), 1999), when exact.
+
+    A position (s, t) is won when s == t, as bisimilarity is reflexive;
+    otherwise each move of either side is a challenge that the other side
+    answers with a move of the same label to a position that it wins
+    (`_challenges`, `_play`), so the position is lost in 1 round when s and
+    t move by different label sets.  Each state is stepped at most once,
+    its moves grouped by label, and each position is played at most once,
+    its value kept until the call ends.  The play is iterative: the stack
+    holds the suspended play of each open position.  A position met again
+    while it is open closes a cycle, and raises ValueError: the state space
+    is then not well founded."""
+    moves: dict = {}  # each state stepped: {label: [successors]}
+
+    def grouped(s: Any) -> dict:
+        g = moves.get(s)
+        if g is None:
+            g = moves[s] = {}
+            for a, t in step(s):
+                g.setdefault(a, []).append(t)
+        return g
+
+    value: dict = {}  # each position met: _OPEN while open, then None or rounds
+    stack: list = []  # each open position with its suspended play, innermost last
+    pos = (p, q)
+    while True:
+        s, t = pos
+        if s == t:
+            v = None
+        elif pos in value:
+            v = value[pos]
+            if v is _OPEN:
+                raise ValueError(f"the reachable states hold a cycle through {pos!r}")
+        else:
+            value[pos] = _OPEN
+            stack.append((pos, _play(grouped(s), grouped(t), exact)))
+            v = None  # what starts the new play
+        while True:  # send v to the innermost play, ending the plays that return
+            if not stack:
+                return v
+            top, play = stack[-1]
+            try:
+                pos = play.send(v)
+                break
+            except StopIteration as done:
+                stack.pop()
+                v = value[top] = done.value
 
 
 def bisimilar_oracle(p: Term, q: Term) -> bool:
-    """Strong bisimilarity by partition refinement over the joint reachable
-    markings of p and q (`_net`).  Independent of the normal-form route;
-    with guarded sums it uses the sum transition rule."""
+    """Strong bisimilarity by the game over the markings of p and q
+    (`_net`).  Independent of the normal-form route; with guarded sums it
+    uses the sum transition rule."""
     _, marking, step = _net(p, q)
-    roots = [marking(p), marking(q)]
-    block = refine_partition(roots, step)
-    return block[roots[0]] == block[roots[1]]
+    return bisim_game(marking(p), marking(q), step) is None
 
 
 def distinguishing_depth(p: Term, q: Term) -> int | None:
-    """Least number of bisimulation-game rounds distinguishing p and q,
-    or None if they are bisimilar: the first Kanellakis-Smolka round, each
-    splitting states by their signature over the previous round's classes,
-    that separates them.
-
-    One pass of `_refine` over the joint markings gives the verdict and,
-    through its two numberings, the quotient: block b's moves are the
-    (label, block) pairs that its signature numbers.  The rounds split
-    blocks, not markings, and take as many rounds: bisimilarity refines
-    every round's partition, so a round's class is a union of blocks and a
-    marking signs as its block does.  A round reads the previous round's
-    classes only for the successors of the blocks it signs, so when round k
-    is the last, round j signs only the blocks within k - j moves of p's
-    and q's: each new round adds the next layer of blocks to every earlier
-    round.  The rounds run only when p and q are in different blocks, so
-    some round separates them."""
+    """Least number of bisimulation-game rounds distinguishing p and q, or
+    None if they are bisimilar: the exact value of the game over the
+    markings of p and q (`bisim_game`).  It is 1 when their label sets
+    differ and otherwise 1 + the least, over challenges, of the most, over
+    responses, which is the first Kanellakis-Smolka round that separates
+    them."""
     _, marking, step = _net(p, q)
-    mp, mq = marking(p), marking(q)
-    final, ids, pairs = _refine([mp, mq], step)
-    bp, bq = final[mp], final[mq]
-    if bp == bq:
-        return None
-    signatures, numbered = list(ids), list(pairs)  # by block, by number
-    moves: dict = {}  # each block reached so far: its (label, block) pairs
-    layers: list[list] = []  # layers[d]: the blocks first reached in d moves
-    rounds: list[tuple[dict, dict, dict]] = [(defaultdict(int), {}, {})]  # round 0: one class
-    reach = [bp, bq]
-    while rounds[-1][0][bp] == rounds[-1][0][bq]:
-        for b in reach:
-            moves[b] = [numbered[n] for n in signatures[b]]
-        layers.append(reach)
-        reach = list(dict.fromkeys(t for b in reach for _, t in moves[b] if t not in moves))
-        rounds.append(({}, {}, {}))
-        for j in range(1, len(rounds)):
-            block, ids, pairs = rounds[j]
-            previous = rounds[j - 1][0]
-            for b in layers[len(layers) - j]:
-                block[b] = ids.setdefault(_signature(moves[b], previous, pairs), len(ids))
-    return len(layers)
+    return bisim_game(marking(p), marking(q), step, exact=True)

@@ -6,6 +6,7 @@ from ccspi.distributed import d_step, dsim, dsim_blocks
 from ccspi.lts import TAU, bisimilar_oracle, d_transitions, explore
 from ccspi.syntax import parse_ccs, parse_ccs_plus
 from ccspi.terms import NIL, Prefix, Var, substitute
+from test_net import random_pairs
 
 
 def test_d_transitions_prefix_and_par():
@@ -90,3 +91,18 @@ def test_dsim_blocks_consistent_with_dsim():
     block = dsim_blocks(terms)
     assert block[terms[0]] == block[terms[1]]  # idempotence is syntactic here
     assert block[terms[2]] != block[terms[3]]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_dsim_agrees_with_dsim_blocks_on_seeded_pairs(seed):
+    # the game over d_step against one refinement pass over it: pairs with
+    # and without sums, among them the distribution-law pairs eta.(P |
+    # eta.P) and eta.P | eta.P, strongly bisimilar but never distributed
+    # bisimilar, on which the game must reach the concurrent parts
+    verdicts = set()
+    for p, q in random_pairs(seed, 200):
+        block = dsim_blocks([p, q])
+        assert dsim(p, q) == (block[p] == block[q]), (p, q)
+        assert dsim(q, p) == dsim(p, q)
+        verdicts.add((dsim(p, q), bisimilar_oracle(p, q)))
+    assert verdicts == {(False, False), (False, True)}

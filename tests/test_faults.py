@@ -56,6 +56,24 @@ def signature_ignores_successors(mp: pytest.MonkeyPatch) -> None:
     mp.setattr("ccspi.lts._signature", labels_only)
 
 
+def game_plays_one_side(mp: pytest.MonkeyPatch) -> None:
+    """The game challenges with the first side's moves only, so it decides
+    whether the second side simulates the first, not whether the two are
+    bisimilar."""
+
+    def first_side(gs, gt):
+        return [[(s1, t1) for t1 in gt.get(a, ())] for a, ss in gs.items() for s1 in ss]
+
+    mp.setattr("ccspi.lts._challenges", first_side)
+
+
+def game_checks_labels_only(mp: pytest.MonkeyPatch) -> None:
+    """The game makes a challenge only when the two states move by
+    different label sets, so it wins every position whose label sets
+    agree."""
+    mp.setattr("ccspi.lts._challenges", lambda gs, gt: [[]] if gs.keys() != gt.keys() else [])
+
+
 def strong_in_place_of_distributed(mp: pytest.MonkeyPatch) -> None:
     from ccspi.lts import refine_partition, transitions
 
@@ -198,6 +216,8 @@ CAUGHT = {
             }
         ),
     ),
+    "game-plays-one-side": Fault(game_plays_one_side, frozenset({"nf-oracle-agreement"})),
+    "game-checks-labels-only": Fault(game_checks_labels_only, frozenset({"nf-oracle-agreement"})),
     "strong-in-place-of-distributed": Fault(
         strong_in_place_of_distributed, frozenset({"dsim-canonical"})
     ),

@@ -12,6 +12,7 @@ from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, pi_terms_upto, p
 from ccspi.lts import (
     TAU,
     Tau,
+    bisim_game,
     bisimilar_oracle,
     d_transitions,
     distinguishing_depth,
@@ -368,3 +369,29 @@ def test_refine_partition_rejects_a_state_space_that_is_not_well_founded():
     diamond = {"x": [("r", "y"), ("s", "z")], "y": [("r", "w")], "z": [("r", "w")], "w": []}
     block = refine_partition(["x", "w"], diamond.__getitem__)
     assert block["y"] == block["z"] != block["x"]
+
+
+def test_the_game_rejects_a_state_space_that_is_not_well_founded():
+    # a self-loop on each side; a 2-cycle on each side, in step; a cycle met
+    # only below an acyclic first move: each closes a cycle of positions,
+    # verdict and exact value alike
+    for table, p, q in (
+        ({"x": [("r", "x")], "u": [("r", "u")]}, "x", "u"),
+        ({"x": [("r", "y")], "y": [("r", "x")], "u": [("r", "v")], "v": [("r", "u")]}, "x", "u"),
+        ({"x": [("s", "y")], "y": [("r", "y")], "u": [("s", "v")], "v": [("r", "v")]}, "x", "u"),
+    ):
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="cycle through"):
+                bisim_game(p, q, table.__getitem__, exact)
+    # a position met again once its play has ended closes no cycle, and a
+    # state is bisimilar to itself before it is stepped
+    diamond = {
+        "x": [("r", "y"), ("s", "z")],
+        "y": [("r", "w")],
+        "z": [("r", "w")],
+        "w": [],
+        "u": [("s", "z"), ("r", "z")],
+    }
+    assert bisim_game("x", "u", diamond.__getitem__, True) is None
+    assert bisim_game("y", "w", diamond.__getitem__, True) == 1
+    assert bisim_game("cyclic", "cyclic", {}.__getitem__) is None

@@ -3,13 +3,22 @@
 term-level reference (`refinement_reference`) does."""
 
 import random
+import sys
 
 import pytest
 
 import refinement_reference as ref
 from ccspi.generate import ccs_plus_terms_upto, ccs_terms_upto, prefix_alphabet
-from ccspi.lts import _net, _refine, bisimilar_oracle, distinguishing_depth, explore, transitions
-from ccspi.syntax import parse_ccs, parse_ccs_plus
+from ccspi.lts import (
+    _net,
+    bisim_game,
+    bisimilar_oracle,
+    distinguishing_depth,
+    explore,
+    refine_partition,
+    transitions,
+)
+from ccspi.syntax import parse_ccs, parse_ccs_plus, print_term
 from ccspi.terms import NIL, Act, Par, Prefix, Sum, Term, size
 
 ABC = prefix_alphabet(("a", "b", "c"))
@@ -130,6 +139,26 @@ def test_verdicts_and_depths_are_the_term_level_ones(seed):
         assert distinguishing_depth(p, q) == ref.distinguishing_depth(p, q), (p, q)
 
 
+@pytest.mark.parametrize("seed", [9, 10])
+def test_the_game_agrees_with_the_refinement_over_the_same_markings(seed):
+    # the game over the marking step, verdict and exact value alike, against
+    # one refinement pass over that step; beside each seeded pair, its first
+    # side in parallel with each side of the expansion a.0 | 'b.0 ~ a.'b.0 +
+    # 'b.a.0, a bisimilar pair with a sum
+    left, right = parse_ccs("a.0 | 'b.0"), parse_ccs_plus("a.'b.0 + 'b.a.0")
+    seen = set()
+    for p, q in random_pairs(seed, 200):
+        for x, y in ((p, q), (Par((p, left)), Par((p, right)))):
+            _, marking, step = _net(x, y)
+            mx, my = marking(x), marking(y)
+            block = refine_partition([mx, my], step)
+            want = block[mx] == block[my]
+            assert (bisim_game(mx, my, step) is None) == want, (x, y)
+            assert (bisim_game(mx, my, step, exact=True) is None) == want, (x, y)
+            seen.add(("+" in print_term(x) + print_term(y), want))
+    assert len(seen) == 4
+
+
 def test_verdicts_are_the_term_level_ones_on_universe_pairs():
     universe = UNIVERSES["ccs-plus-size-4-ab"]
     rng = random.Random(11)
@@ -181,6 +210,40 @@ def test_depth_of_a_chain_against_a_longer_one(n):
     assert distinguishing_depth(p, q) == ref.distinguishing_depth(p, q) == n + 1
 
 
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_the_game_goes_300_positions_deep_without_recursing():
+    # two 300-prefix chains that alternate a and b over a bottom: 'c.0 and
+    # c.0 differ there, and a.0 | b.0 and a.b.0 + b.a.0 agree, so each play
+    # holds a position open on every level; a recursion per level would
+    # pass the lowered limit well before the bottom
+    def over(bottom: Term) -> Term:
+        t = bottom
+        for k in range(299):
+            t = Act(Prefix("ab"[k % 2]), t)
+        return t
+
+    p, q = over(parse_ccs("c.0")), over(parse_ccs("'c.0"))
+    r, s = over(parse_ccs("a.0 | b.0")), over(parse_ccs_plus("a.b.0 + b.a.0"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        answers = [
+            bisimilar_oracle(p, q),
+            distinguishing_depth(p, q),
+            bisimilar_oracle(r, s),
+            distinguishing_depth(r, s),
+        ]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert answers == [False, 300, True, None]
+
+
 A6 = "a.0 | a.0 | a.0 | a.0 | a.0 | a.0"
 
 
@@ -199,11 +262,11 @@ A6 = "a.0 | a.0 | a.0 | a.0 | a.0 | a.0"
 )
 def test_depth_where_the_quotient_is_smaller_than_the_markings(p, q, depth):
     # the copies of a.0 that a.a.0 and a.a.a.0 leave behind make many
-    # markings bisimilar, so the rounds split far fewer blocks than markings
+    # markings bisimilar, so the quotient has far fewer blocks than markings
     p, q = parse_ccs(p), parse_ccs(q)
     _, marking, step = _net(p, q)
-    block, ids, _ = _refine([marking(p), marking(q)], step)
-    assert len(ids) < 0.8 * len(block)
+    block = refine_partition([marking(p), marking(q)], step)
+    assert len(set(block.values())) < 0.8 * len(block)
     assert distinguishing_depth(p, q) == ref.distinguishing_depth(p, q) == depth
 
 
