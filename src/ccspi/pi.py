@@ -43,7 +43,11 @@ asked for them, as a tuple of distinct moves in an order fixed by the term
 alone, so they live as long as the node, as the intern table does, and no
 cache holds them.
 Instantiation names for the games are drawn from a reserved namespace
-("#0", "#1", ...) disjoint from source-level names.
+("#0", "#1", ...) disjoint from source-level names.  The games start from
+narrowed roots: `_narrow` moves out of each restriction the parallel
+components that do not use its name, so a pair that differs only by scope
+extrusion is one term before the first move.  The positions a game reaches
+are played as they are.
 
 Besides the games for single pairs, `pi_blocks` gives the classes of a
 whole universe in each mode with the one refinement pass and the one
@@ -51,9 +55,11 @@ signature that strong and distributed bisimilarity use
 (`lts.refine_partition`); only its step, `pi_step`, is the pi calculus's
 own.  Its moves are (label, successor) pairs, as every step's are: a late
 input moves to a "for all names" state of its own, which moves by each
-instantiation name to the residual opened with it.  Unlike CCS nodes,
-whose moves the pass drops once it has signed them, pi nodes keep theirs:
-the games read the moves of the same positions again and again.
+instantiation name to the residual opened with it.  It does not narrow,
+so the refinement stays a route to the classes apart from the games.
+Unlike CCS nodes, whose moves the pass drops once it has signed them, pi
+nodes keep theirs: the games read the moves of the same positions again
+and again.
 """
 
 from __future__ import annotations
@@ -287,6 +293,36 @@ def _close(t: PiTerm, d: int, old: FreeName) -> PiTerm:
 def close_binder(t: PiTerm, name: str) -> PiTerm:
     """Abstract a free name into dangling index 0 (shifting the rest up)."""
     return _close(t, 0, FreeName(name))
+
+
+def _narrow(t: PiTerm) -> PiTerm:
+    """t with the scope of each restriction narrowed, bottom up, to the
+    components that use its name: (nu x)(P | Q) = P | (nu x)Q when x is not
+    free in P (Milner, Parrow and Walker, 1992).  A component moved out is
+    lowered as `PiNu` lowers an unused binder's body.  Structurally
+    congruent to t, so bisimilar to it in every mode; t itself when no
+    restriction in it has a component to move out.  It dispatches on the
+    node's type and rebuilds only what changed, since every game call walks
+    both roots."""
+    kind = type(t)
+    if kind is PiNil:
+        return t
+    if kind is PiPar:
+        out = [_narrow(p) for p in t.parts]
+        return t if tuple(out) == t.parts else PiPar(out)
+    b = _narrow(t.body)
+    if kind is PiNu and type(b) is PiPar:
+        users = [p for p in b.parts if p._dangling & 1]
+        if len(users) < len(b.parts):
+            out = [_open(p, 0, None) for p in b.parts if not p._dangling & 1]
+            return PiPar([*out, PiNu(PiPar(users))])
+    if b is t.body:
+        return t
+    if kind is PiNu:
+        return PiNu(b)
+    if kind is PiInput:
+        return PiInput(t.chan, b)
+    return PiOutput(t.chan, t.payload, b)
 
 
 def _rename(t: PiTerm, moved: dict[str, str], refs: dict[NameRef, NameRef]) -> PiTerm:
@@ -525,22 +561,23 @@ def _pi_bisim(p: PiTerm, q: PiTerm, mode: str) -> bool:
 
 def ground_bisim(p: PiTerm, q: PiTerm) -> bool:
     """Strong ground bisimilarity: `_pi_bisim`'s rule with every input and
-    bound output instantiated with the fresh name only."""
-    return _pi_bisim(p, q, "ground")
+    bound output instantiated with the fresh name only, played from the
+    narrowed roots (`_narrow`)."""
+    return _pi_bisim(_narrow(p), _narrow(q), "ground")
 
 
 def late_bisim(p: PiTerm, q: PiTerm) -> bool:
     """Strong late bisimilarity: `_pi_bisim`'s rule with an input
     instantiated with every free name and the fresh one, and one response
-    that must win for all of them."""
-    return _pi_bisim(p, q, "late")
+    that must win for all of them, played from the narrowed roots."""
+    return _pi_bisim(_narrow(p), _narrow(q), "late")
 
 
 def early_bisim(p: PiTerm, q: PiTerm) -> bool:
     """Strong early bisimilarity: `_pi_bisim`'s rule with an input
     instantiated with every free name and the fresh one, each name answered
-    by a response of its own."""
-    return _pi_bisim(p, q, "early")
+    by a response of its own, played from the narrowed roots."""
+    return _pi_bisim(_narrow(p), _narrow(q), "early")
 
 
 # --------------------------------------------------------------------------

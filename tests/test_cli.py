@@ -135,7 +135,8 @@ def test_main_empties_the_pi_memos(capsys, monkeypatch):
         clear()
 
     monkeypatch.setattr(ccspi.cli, "clear_bisim_memo", recorded)
-    p, q = "(nu x)(a<x>.0) | b(y).y<y>.0", "(nu x)(a<x>.0 | b(y).y<y>.0)"
+    # a pair that narrowing does not make one term, so the game plays
+    p, q = "(nu x)(a<x>.0) | b(y).0 | b(z).0", "(nu x)(a<x>.0 | b(y).b(z).0)"
     code, _, _ = run(capsys, "bisim", p, q, "--calculus", "pi", "--style", "late")
     assert code == 0 and filled[0][0] and filled[0][1]
     assert not any(PI_MEMOS)

@@ -165,6 +165,24 @@ def no_bound_output_communication(mp: pytest.MonkeyPatch) -> None:
     mp.setattr("ccspi.pi.late_transitions", faulty)
 
 
+def narrowing_frees_the_name(mp: pytest.MonkeyPatch) -> None:
+    """Narrowing a root moves out of its restriction the first component
+    even when it uses the restricted name, which it opens as a free name, so
+    (nu p)(p(x).0 | p(x).0) plays as p(x).0 | (nu p)p(x).0."""
+    from ccspi import pi
+
+    narrow = pi._narrow
+
+    def faulty(t):
+        t = narrow(t)
+        if type(t) is pi.PiNu and type(t.body) is pi.PiPar:
+            first, *rest = t.body.parts
+            return pi.PiPar([pi.open_binder(first, "p"), pi.PiNu(pi.PiPar(rest))])
+        return t
+
+    mp.setattr("ccspi.pi._narrow", faulty)
+
+
 def late_played_as_early(mp: pytest.MonkeyPatch) -> None:
     from ccspi import pi
 
@@ -225,6 +243,7 @@ CAUGHT = {
     "no-bound-output-communication": Fault(
         no_bound_output_communication, frozenset({"pi-congruence"})
     ),
+    "narrowing-frees-the-name": Fault(narrowing_frees_the_name, frozenset({"pi-congruence"})),
 }
 
 

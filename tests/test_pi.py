@@ -351,6 +351,68 @@ def test_scope_extrusion_is_ground_bisimilar():
     assert ground_bisim(l, r)
 
 
+# scope narrowing ------------------------------------------------------------
+
+NARROWING_UNIVERSES = [(3, 1, ("a", "b")), (2, 2, ("a", "b", "c"))]
+
+
+@pytest.mark.parametrize("bounds", NARROWING_UNIVERSES)
+def test_narrowing_is_idempotent_and_keeps_the_measures(bounds):
+    for t in pi_terms_upto(*bounds):
+        n = pi._narrow(t)
+        assert pi._narrow(n) is n, t
+        assert (free_names(n), pi_size(n), n._dangling) == (free_names(t), pi_size(t), t._dangling)
+
+
+@pytest.mark.parametrize("bounds", NARROWING_UNIVERSES)
+def test_a_narrowed_term_lies_in_the_universe_and_in_its_block(bounds):
+    universe = pi_terms_upto(*bounds)
+    narrowed = {t: pi._narrow(t) for t in universe}
+    assert any(n is not t for t, n in narrowed.items())
+    assert set(narrowed.values()) <= set(universe)
+    for mode in ("ground", "late", "early"):
+        block = pi_blocks(universe, bounds[2], mode)
+        for t, n in narrowed.items():
+            assert block[(n, 0)] == block[(t, 0)], (mode, t)
+
+
+@pytest.mark.parametrize("bounds", NARROWING_UNIVERSES)
+def test_no_restriction_keeps_a_component_that_does_not_use_its_name(bounds):
+    narrowed = [pi._narrow(t) for t in pi_terms_upto(*bounds)]
+    for t in _pi_subterms(narrowed):
+        if isinstance(t, PiNu) and isinstance(t.body, PiPar):
+            assert all(p._dangling & 1 for p in t.body.parts), t
+
+
+def _extrusions(seed, count):
+    """Seeded pairs (nu x)P | Q and (nu x)(P | Q) of random terms: P binds
+    one free name of a random term, and Q is another random term."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a = random_pi(rng, 4, 1, ("a", "b", "c"))
+        q = random_pi(rng, 4, 1, ("a", "b", "c"))
+        if not free_names(a) or q is PI_NIL:
+            continue
+        p = close_binder(a, rng.choice(sorted(free_names(a))))
+        pairs.append((PiPar([PiNu(p), q]), PiNu(PiPar([p, q]))))
+    return pairs
+
+
+@pytest.mark.parametrize("game", [ground_bisim, late_bisim, early_bisim])
+def test_an_extruded_pair_narrows_to_one_term_and_plays_no_position(game):
+    pairs = _extrusions(32, 200)
+    assert sum(l is not r for l, r in pairs) > 150
+    for l, r in pairs:
+        assert pi._narrow(l) is pi._narrow(r), (l, r)
+        clear_bisim_memo()
+        try:
+            assert game(l, r)
+            assert not pi._BISIM_MEMO, (l, r)
+        finally:
+            clear_bisim_memo()
+
+
 def _ground_class_neighbours(max_prefixes, max_nus, frees):
     universe = pi_terms_upto(max_prefixes, max_nus, frees)
     block = pi_blocks(universe, frees, "ground")
@@ -379,7 +441,9 @@ DIFFERENTIAL_PAIRS = {
 def test_one_challenge_rule_plays_the_branch_by_branch_game(name):
     """The game by one challenge rule and the reference game, written one
     branch per kind of challenge and per mode, give every pair the same
-    verdict and leave equal memos: both expanded the same positions."""
+    verdict and leave equal memos: both expanded the same positions.  The
+    games start from the narrowed roots, so the reference game is given
+    them too."""
     pairs = DIFFERENTIAL_PAIRS[name]()
     random.Random(24).shuffle(pairs)
     games = {"ground": ground_bisim, "late": late_bisim, "early": early_bisim}
@@ -388,7 +452,8 @@ def test_one_challenge_rule_plays_the_branch_by_branch_game(name):
         game_reference.MEMO.clear()
         try:
             for p, q in pairs:
-                assert game(p, q) == game_reference.pi_bisim(p, q, mode), (mode, p, q)
+                reference = game_reference.pi_bisim(pi._narrow(p), pi._narrow(q), mode)
+                assert game(p, q) == reference, (mode, p, q)
             assert pi._BISIM_MEMO == game_reference.MEMO, mode
         finally:
             clear_bisim_memo()
@@ -461,8 +526,9 @@ def test_run_suite_empties_the_pi_memos_when_a_suite_raises(monkeypatch):
     filled = []
 
     def plays_then_raises():
-        p = parse_pi("(nu x)(a<x>.0) | b(y).y<y>.0")
-        q = parse_pi("(nu x)(a<x>.0 | b(y).y<y>.0)")
+        # a pair that narrowing does not make one term, so the game plays
+        p = parse_pi("(nu x)(a<x>.0) | b(y).0 | b(z).0")
+        q = parse_pi("(nu x)(a<x>.0 | b(y).b(z).0)")
         assert ground_bisim(p, q) and pi_substitute(p, {"a": "b"}) is not p
         filled.append(all(PI_MEMOS))
         raise RuntimeError("fault inside a suite")
